@@ -134,6 +134,8 @@ class FieldSpec:
         self._gen = None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
         return (self.p, self.l, self.modulus) == (other.p, other.l,

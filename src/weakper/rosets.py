@@ -32,6 +32,11 @@ DEFAULT_M_MAX = 8
 # membership of a sum-set value in its witness pattern's spectrum is checked
 # by one m x m determinant; this caps that size
 WITNESS_M_CAP = 512
+# bounds of the memo caches below: one sets or lemmas command asks for one
+# unity pool and sum set, and for the spectra at m = 2..m_max, so no command
+# with m_max <= 65 evicts an entry it will ask for again
+_SPECTRA_CACHE_SIZE = 64
+_UNITY_CACHE_SIZE = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,7 +124,7 @@ def weight_patterns(m, n):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_SPECTRA_CACHE_SIZE)
 def _pattern_spectra_cached(m, n, spec, ext_bound, field_bound):
     spectra = []
     seen = set()
@@ -148,7 +153,7 @@ def pattern_spectra(m, n, spec, ext_bound, field_bound=DEFAULT_FIELD_BOUND):
     return dict(_pattern_spectra_cached(m, n, spec, ext_bound, field_bound))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_UNITY_CACHE_SIZE)
 def _unity_pool(spec, ext_degree, field_bound):
     """Nonzero elements of GF(q^d) for d <= ext_degree, deduplicated into
     the compositum GF(q^lcm(1..d)).
@@ -180,7 +185,7 @@ def _unity_pool(spec, ext_degree, field_bound):
     return comp, tuple(pool), base_image
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_UNITY_CACHE_SIZE)
 def _unity_sums_cached(n, spec, ext_degree, field_bound):
     comp, pool, base_image = _unity_pool(spec, ext_degree, field_bound)
     add = comp._add

@@ -1,11 +1,18 @@
 """Exhaustive decomposition search and whole-field verification.
 
 brute_decompose and brute_commuting_decompose are exact decision procedures
-at desk scale: they enumerate every square-zero candidate N in encoding
-order and accept the first one making C - N potent (and commuting with it,
-in the commuting variant).  verify_field runs one of the decomposition
-routes over all q^n companion matrices and emits a deterministic report
-whose witnesses have all been re-verified.
+at desk scale: they scan every square-zero candidate N in encoding order
+and accept the first one making C - N potent (and commuting with it, in
+the commuting variant).  The candidates are enumerated by structure, not
+filtered out of all q^(n^2) matrices: a square-zero N is built from its
+image W, a subspace of its own kernel, and a full-rank map onto W from the
+functionals vanishing on W; a commuting candidate is f(C) with h | f,
+where h is the least polynomial with g | h^2 for g = min_poly(C).  Both
+lists are sorted by entry tuple, which is encoding order.  The brute cap
+still bounds q^(n^2), the size of the space the candidates come from.
+verify_field runs one of the decomposition routes over all q^n companion
+matrices and emits a deterministic report whose witnesses have all been
+re-verified.
 """
 
 import dataclasses
@@ -22,6 +29,7 @@ from .companion import (
     trace_matched_decomposition,
 )
 from .errors import (
+    DerogatoryMatrix,
     FieldTooSmall,
     InputError,
     NoPolynomialRepresentation,
@@ -32,50 +40,155 @@ from .errors import (
     WeakperError,
 )
 from .gf import parse_field
-from .mat import Mat, char_poly, is_potent, linear_combination, potency_exponent
-from .poly import Poly, pow_mod
+from .mat import (
+    Mat,
+    char_poly,
+    is_potent,
+    linear_combination,
+    min_poly,
+    potency_exponent,
+)
+from .poly import Poly, factor, pow_mod
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_BRUTE_CAP = 1 << 24
 MODES = ("constructive", "brute", "commuting")
 
 
-@functools.lru_cache(maxsize=None)
-def _square_zero_entries(spec, n, cap):
-    """Entry tuples of every n x n matrix N with N^2 = 0, in encoding
-    order.  The full q^(n^2) candidate space is filtered once and cached."""
+def _check_search_space(spec, n, cap):
     q = spec.order
     if q ** (n * n) > cap:
         raise SearchSpaceTooLarge(
             f"{q}^{n * n} candidate matrices exceed the bound {cap}")
+
+
+def _combine(spec, coeffs, vectors, size):
+    """sum(coeffs[i] * vectors[i]) over flat entry tuples of length size."""
     mul, add = spec._mul, spec._add
-    out = []
-    for ent in itertools.product(range(q), repeat=n * n):
-        ok = True
-        for i in range(n):
-            if not ok:
-                break
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    a = ent[i * n + k]
-                    if a:
-                        b = ent[k * n + j]
-                        if b:
-                            acc = add(acc, mul(a, b))
-                if acc:
-                    ok = False
-                    break
-        if ok:
-            out.append(ent)
+    out = [0] * size
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for idx, v in enumerate(vec):
+                if v:
+                    out[idx] = add(out[idx], mul(c, v))
     return tuple(out)
+
+
+def _independent_rows(spec, r, m):
+    """Every r x m matrix of rank r, as a tuple of r row tuples."""
+    q = spec.order
+    vectors = list(itertools.product(range(q), repeat=m))
+
+    def extend(chosen, span):
+        if len(chosen) == r:
+            yield tuple(chosen)
+            return
+        for v in vectors:
+            if v not in span:
+                grown = {_combine(spec, (1, c), (s, v), m)
+                         for s in span for c in range(q)}
+                yield from extend(chosen + [v], grown)
+
+    return tuple(extend([], {(0,) * m}))
+
+
+def _echelon_bases(spec, n, r):
+    """Each r-dimensional subspace W of F^n once, as (pivots, rows): the
+    reduced row echelon basis of W and its pivot columns."""
+    q = spec.order
+    for pivots in itertools.combinations(range(n), r):
+        free = [(k, j) for k in range(r) for j in range(pivots[k] + 1, n)
+                if j not in pivots]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * n for _ in range(r)]
+            for k, p in enumerate(pivots):
+                rows[k][p] = 1
+            for (k, j), v in zip(free, values):
+                rows[k][j] = v
+            yield pivots, rows
+
+
+# one command searches one (field, n); tests sweep a few
+@functools.lru_cache(maxsize=8)
+def _square_zero_entries(spec, n):
+    """Entry tuples of every n x n matrix N with N^2 = 0, sorted.
+
+    N^2 = 0 iff im N lies in ker N.  A rank-r such N is, for exactly one
+    r-dimensional image W with echelon basis w_1..w_r, the sum of the
+    outer products w_k phi_k^T, where phi_1..phi_r are linearly
+    independent functionals vanishing on W.  With A a basis of those
+    functionals, the phi_k are the rows of G.A for a unique full-rank
+    r x (n - r) matrix G; r ranges over 0..n//2.
+    """
+    neg = spec._neg
+    out = []
+    for r in range(n // 2 + 1):
+        gs = _independent_rows(spec, r, n - r)
+        for pivots, rows in _echelon_bases(spec, n, r):
+            # A: one functional per non-pivot column j, 1 at j and
+            # -w_k[j] at the pivot of row k; they vanish on W
+            annihilator = []
+            for j in range(n):
+                if j not in pivots:
+                    phi = [0] * n
+                    phi[j] = 1
+                    for k, p in enumerate(pivots):
+                        phi[p] = neg(rows[k][j])
+                    annihilator.append(phi)
+            # row i of N is sum_k w_k[i] phi_k
+            columns = [tuple(w[i] for w in rows) for i in range(n)]
+            for g in gs:
+                phis = [_combine(spec, g_row, annihilator, n)
+                        for g_row in g]
+                out.append(tuple(itertools.chain.from_iterable(
+                    _combine(spec, col, phis, n) for col in columns)))
+    out.sort()
+    return tuple(out)
+
+
+def _power_entries(C):
+    """Entry tuples of I, C, ..., C^(n-1)."""
+    powers = []
+    acc = Mat.identity(C.spec, C.n)
+    for _ in range(C.n):
+        powers.append(acc.entries)
+        acc = acc * C
+    return powers
+
+
+def _commuting_square_zero_entries(C):
+    """Entry tuples of every N with N^2 = 0 and C.N = N.C, sorted.
+
+    C must be non-derogatory (deg min_poly(C) = n), as every companion
+    is: its commutant is then exactly the f(C) with deg f < n, and
+    f(C)^2 = 0 iff h | f, where h = prod pi^ceil(e/2) over the
+    factorisation min_poly(C) = prod pi^e.
+    """
+    spec, n = C.spec, C.n
+    g = min_poly(C)
+    if g.degree != n:
+        raise DerogatoryMatrix(
+            f"minimal polynomial has degree {g.degree} < {n}, so the "
+            f"commutant is not the polynomials in the matrix")
+    h = Poly.one(spec)
+    for pi, e in factor(g):
+        for _ in range((e + 1) // 2):
+            h = h * pi
+    powers = _power_entries(C)
+    # (X^i h)(C) for i < n - deg h span the candidates
+    span = [_combine(spec, (0,) * i + h.coeffs, powers, n * n)
+            for i in range(n - h.degree)]
+    return sorted(
+        _combine(spec, u, span, n * n)
+        for u in itertools.product(range(spec.order), repeat=len(span)))
 
 
 def brute_decompose(C, brute_cap=DEFAULT_BRUTE_CAP):
     """First witness C = P + N with N^2 = 0 and P potent, scanning N over
     all square-zero matrices in encoding order; None when no N works."""
     spec, n = C.spec, C.n
-    for ent in _square_zero_entries(spec, n, brute_cap):
+    _check_search_space(spec, n, brute_cap)
+    for ent in _square_zero_entries(spec, n):
         N = Mat._raw(spec, n, ent)
         P = C - N
         if is_potent(P):
@@ -93,9 +206,10 @@ def count_decompositions(C, brute_cap=DEFAULT_BRUTE_CAP):
     """Exhaustive witness counts for one matrix: how many square-zero N
     give a potent C - N, and how many of those pairs commute."""
     spec, n = C.spec, C.n
+    _check_search_space(spec, n, brute_cap)
     total = 0
     commuting = 0
-    for ent in _square_zero_entries(spec, n, brute_cap):
+    for ent in _square_zero_entries(spec, n):
         N = Mat._raw(spec, n, ent)
         P = C - N
         if is_potent(P):
@@ -106,9 +220,14 @@ def count_decompositions(C, brute_cap=DEFAULT_BRUTE_CAP):
 
 
 def brute_commuting_decompose(C, brute_cap=DEFAULT_BRUTE_CAP):
-    """Like brute_decompose with the extra requirement P·N = N·P."""
+    """Like brute_decompose with the extra requirement P·N = N·P.
+
+    Only the square-zero N commuting with C are scanned, which are the
+    ones commuting with P = C - N; C must be non-derogatory.
+    """
     spec, n = C.spec, C.n
-    for ent in _square_zero_entries(spec, n, brute_cap):
+    _check_search_space(spec, n, brute_cap)
+    for ent in _commuting_square_zero_entries(C):
         N = Mat._raw(spec, n, ent)
         P = C - N
         if is_potent(P) and P * N == N * P:
@@ -146,13 +265,8 @@ def fixed_point_certificate(C, P):
     """
     if C * P != P * C:
         raise NotCommuting("P does not commute with C")
-    spec, n = C.spec, C.n
-    powers = []
-    acc = Mat.identity(spec, n)
-    for _ in range(n):
-        powers.append(acc.entries)
-        acc = acc * C
-    coeffs = linear_combination(powers, P.entries, spec)
+    spec = C.spec
+    coeffs = linear_combination(_power_entries(C), P.entries, spec)
     if coeffs is None:
         raise NoPolynomialRepresentation(
             "P is not a polynomial in C although they commute")

@@ -2,10 +2,13 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 char_poly_laplace expands the characteristic determinant by cofactors over
-polynomial entries, and min_poly_scan finds the minimal polynomial by
-enumerating monic candidates in encoding order.
+polynomial entries, min_poly_scan finds the minimal polynomial by
+enumerating monic candidates in encoding order, and square_zero_oracle
+filters all q^(n^2) matrices for N^2 = 0.
 """
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -92,7 +95,6 @@ def char_poly_laplace(M):
 def min_poly_scan(M):
     """Smallest-degree monic annihilator, found by scanning candidates in
     encoding order; unique at the minimal degree."""
-    import itertools
     spec, n = M.spec, M.n
     zero = Mat.zeros(spec, n)
     for d in range(1, n + 1):
@@ -101,6 +103,34 @@ def min_poly_scan(M):
             if poly_at_matrix(f, M) == zero:
                 return f
     raise AssertionError("Cayley-Hamilton guarantees an annihilator")
+
+
+@functools.lru_cache(maxsize=16)
+def square_zero_oracle(spec, n):
+    """Entry tuples of every n x n matrix N with N^2 = 0, in encoding
+    order, by filtering the full q^(n^2) candidate space."""
+    q = spec.order
+    mul, add = spec._mul, spec._add
+    out = []
+    for ent in itertools.product(range(q), repeat=n * n):
+        ok = True
+        for i in range(n):
+            if not ok:
+                break
+            for j in range(n):
+                acc = 0
+                for k in range(n):
+                    a = ent[i * n + k]
+                    if a:
+                        b = ent[k * n + j]
+                        if b:
+                            acc = add(acc, mul(a, b))
+                if acc:
+                    ok = False
+                    break
+        if ok:
+            out.append(ent)
+    return tuple(out)
 
 
 def random_matrix(rng, spec, n):

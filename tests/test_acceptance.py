@@ -73,7 +73,6 @@ def field_of_order(q):
 def record(num, ok, detail):
     line = f"[acceptance] criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line, file=sys.__stdout__, flush=True)
-    print(line)
     assert ok, detail
 
 

@@ -4,18 +4,23 @@ import json
 
 import pytest
 
+from conftest import square_zero_oracle
 from weakper.errors import (
+    DerogatoryMatrix,
     FieldTooSmall,
     InputError,
     NotCommuting,
     NotInvertible,
     SearchSpaceTooLarge,
 )
+from weakper.gf import build_field
 from weakper.poly import Poly
 from weakper.mat import Mat
-from weakper.companion import companion_of
+from weakper.companion import companion_of, enumerate_companions
 from weakper.search import (
     MODES,
+    _commuting_square_zero_entries,
+    _square_zero_entries,
     brute_commuting_decompose,
     brute_decompose,
     conjecture_scan,
@@ -56,9 +61,12 @@ class TestBruteDecompose:
         assert w.verify(C)
 
     def test_search_space_bound(self, gf4):
+        # the cap bounds q^(n^2) in every search, whatever it enumerates
         C = companion_of(Poly(gf4, (1, 0, 0, 0, 1))).matrix
-        with pytest.raises(SearchSpaceTooLarge):
-            brute_decompose(C, brute_cap=1000)
+        for search in (brute_decompose, brute_commuting_decompose,
+                       count_decompositions):
+            with pytest.raises(SearchSpaceTooLarge):
+                search(C, brute_cap=1000)
 
 
 class TestCountDecompositions:
@@ -92,6 +100,65 @@ class TestCountDecompositions:
 def enumerate_companions_2(spec):
     from weakper.companion import enumerate_companions
     return enumerate_companions(2, spec)
+
+
+def square_zero_count(q, n):
+    """Sum over r <= n/2 of [n r]_q * prod_{i<r} (q^(n-r) - q^i): images W
+    of dimension r times the full-rank maps onto W from F^n / W."""
+    total = 0
+    for r in range(n // 2 + 1):
+        gauss = 1
+        for i in range(r):
+            gauss = gauss * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+        onto = 1
+        for i in range(r):
+            onto *= q ** (n - r) - q ** i
+        total += gauss * onto
+    return total
+
+
+ORACLE_CELLS = ([(2, 1, n) for n in range(1, 5)]
+                + [(3, 1, n) for n in range(1, 4)]
+                + [(2, 2, n) for n in range(1, 4)]
+                + [(5, 1, 2)])
+
+
+class TestSquareZeroEnumeration:
+    @pytest.mark.parametrize("p,l,n", ORACLE_CELLS)
+    def test_matches_filter_oracle(self, p, l, n):
+        spec = build_field(p, l)
+        assert _square_zero_entries(spec, n) == square_zero_oracle(spec, n)
+
+    @pytest.mark.parametrize("p,l,n", [c for c in ORACLE_CELLS
+                                       if c != (5, 1, 2)])
+    def test_commuting_candidates_match_filter_oracle(self, p, l, n):
+        spec = build_field(p, l)
+        oracle = square_zero_oracle(spec, n)
+        for form in enumerate_companions(n, spec):
+            C = form.matrix
+            expected = [ent for ent in oracle
+                        if C * Mat._raw(spec, n, ent)
+                        == Mat._raw(spec, n, ent) * C]
+            assert _commuting_square_zero_entries(C) == expected
+
+    @pytest.mark.parametrize("p,l,n,count", [
+        (2, 1, 3, 22), (3, 1, 3, 105), (2, 2, 3, 316), (5, 1, 3, 745),
+        (2, 1, 5, 6976), (3, 1, 4, 7281), (2, 2, 4, 69616)])
+    def test_counts_match_closed_form(self, p, l, n, count):
+        spec = build_field(p, l)
+        entries = _square_zero_entries(spec, n)
+        assert square_zero_count(spec.order, n) == count
+        assert len(entries) == count
+        assert list(entries) == sorted(set(entries))
+        zero = (0,) * (n * n)
+        assert all((Mat._raw(spec, n, e) * Mat._raw(spec, n, e)).entries
+                   == zero for e in entries)
+
+    def test_derogatory_matrix_rejected(self, gf3):
+        # 2*I commutes with every matrix, not only with polynomials in it
+        with pytest.raises(DerogatoryMatrix):
+            brute_commuting_decompose(Mat.identity(gf3, 2).scale(2))
+        assert issubclass(DerogatoryMatrix, InputError)
 
 
 class TestBruteCommutingDecompose:
