@@ -227,14 +227,24 @@ def _cmd_verify(args):
     key = _verify_cache_key(spec, n, args.mode, args.enum_cap,
                             args.brute_cap)
     payload_bytes = _cache_load(cache_dir, key) if cache_dir else None
-    if payload_bytes is None:
+    report = None
+    if payload_bytes is not None:
+        # an unreadable entry, or one answering another request, is a miss
+        # and gets rewritten; it must not turn every later run into an error
+        try:
+            report = load_report(payload_bytes)
+        except WeakperError:
+            pass
+        else:
+            if (report.field, report.n, report.mode) != (
+                    spec.descriptor(), n, args.mode):
+                report = None
+    if report is None:
         report = verify_field(n, spec, args.mode, args.enum_cap,
                               args.brute_cap)
         payload_bytes = _dumps(report.to_dict()).encode("utf-8")
         if cache_dir:
             _cache_store(cache_dir, key, payload_bytes)
-    else:
-        report = load_report(payload_bytes)
     summary = {
         "field": report.field,
         "n": report.n,
@@ -420,9 +430,6 @@ def build_parser():
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="accepted for interface stability; runs "
-                             "single-process either way")
     common.add_argument("--ext-bound", type=int, default=None,
                         help="max extension degree (default: n)")
     common.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)

@@ -9,6 +9,7 @@ potent + square-zero parts.
 """
 
 import dataclasses
+import functools
 import itertools
 
 from .errors import (
@@ -29,6 +30,12 @@ from .mat import (
 from .poly import Poly, is_squarefree
 
 DEFAULT_ENUM_BOUND = 1 << 20
+
+# bound of the two potent-part memos below.  For n >= 2 the enumeration
+# bound q^n <= 2^20 gives q <= 1024 traces, so one whole-field run never
+# evicts; traces cycle fastest in companion order, so a smaller cache would
+# miss on every call once q exceeded it.
+_POTENT_CACHE_SIZE = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,6 +123,29 @@ def potent_companion_with_trace(t, n, spec):
         f"no {n} distinct elements of GF({q}) sum to {t}")
 
 
+@functools.lru_cache(maxsize=_POTENT_CACHE_SIZE)
+def _potent_part(t, n, spec):
+    """The potent companion with trace t and its potency exponent; there
+    are only q of them per (n, field), against q^n companions."""
+    P = potent_companion_with_trace(t, n, spec).matrix
+    return P, potency_exponent(P)
+
+
+@functools.lru_cache(maxsize=_POTENT_CACHE_SIZE, typed=True)
+def _potent_claims_hold(P, exponent, check_iterative):
+    """The claims of a witness that depend on its potent part alone.
+
+    Each is a pure function of (P, exponent), and Mat equality includes the
+    field, so a cached answer is the answer a fresh check would give.  The
+    key is typed because an exponent of 2.0 equals 2 yet fails Mat.__pow__.
+    """
+    if not is_potent(P):
+        return False
+    if check_iterative and not is_potent_iterative(P):
+        return False
+    return potency_exponent(P) == exponent and P ** exponent == P
+
+
 @dataclasses.dataclass(frozen=True)
 class Witness:
     """A decomposition C = potent + nilpotent with supporting data.
@@ -132,19 +162,15 @@ class Witness:
 
     def verify(self, companion_matrix, require_commuting=False,
                check_iterative=False):
-        """Re-check every claim this witness makes, from scratch."""
+        """Re-check every claim this witness makes.  The claims about the
+        potent part alone are checked once per (P, exponent) and memoised;
+        the rest are checked on every call."""
         P, N = self.potent, self.nilpotent
         if P + N != companion_matrix:
             return False
         if not is_square_zero(N):
             return False
-        if not is_potent(P):
-            return False
-        if check_iterative and not is_potent_iterative(P):
-            return False
-        if potency_exponent(P) != self.exponent:
-            return False
-        if P ** self.exponent != P:
+        if not _potent_claims_hold(P, self.exponent, check_iterative):
             return False
         if (P * N == N * P) != self.commuting:
             return False
@@ -170,12 +196,12 @@ def trace_matched_decomposition(form):
     the trace with a potent companion; the difference of two same-trace
     companions always squares to zero."""
     C = form.matrix
-    P = potent_companion_with_trace(C.trace(), form.n, form.spec).matrix
+    P, exponent = _potent_part(C.trace(), form.n, form.spec)
     N = C - P
     return Witness(
         potent=P,
         nilpotent=N,
-        exponent=potency_exponent(P),
+        exponent=exponent,
         commuting=(P * N == N * P),
         source="constructive",
     )

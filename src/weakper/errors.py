@@ -64,6 +64,11 @@ class ExponentOverflow(LimitError):
     """A potency exponent computation exceeds the supported integer range."""
 
 
+class MinPolyNotFound(WeakperError):
+    """Internal invariant violation: the powers I, M, ..., M^n of an n x n
+    matrix are linearly independent, which Cayley-Hamilton rules out."""
+
+
 # companion constructions
 
 class NotMonic(InputError):

@@ -15,6 +15,7 @@ from .errors import (
     ExponentOverflow,
     FieldMismatch,
     InputError,
+    MinPolyNotFound,
 )
 from .gf import prime_factors
 from .poly import Poly, is_squarefree, factor, pow_mod
@@ -286,7 +287,9 @@ def min_poly(M):
         pivot = next((idx for idx, val in enumerate(vec) if val), None)
         if pivot is None:
             return Poly(spec, combo)
-        assert k < n, "power M^n failed to reduce against lower powers"
+        if k >= n:
+            raise MinPolyNotFound(
+                "power M^n failed to reduce against lower powers")
         scale = inv(vec[pivot])
         if scale != 1:
             vec = [mul(scale, val) for val in vec]

@@ -396,11 +396,11 @@ def conjecture_scan(n, spec, enum_bound=DEFAULT_ENUM_BOUND,
 
 def load_report(data):
     """Rebuild a VerifyReport from its JSON serialization."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"report is not valid JSON: {exc}") from None
     try:
         spec = parse_field(raw["field"])
@@ -435,10 +435,15 @@ def load_report(data):
 
 def reverify_report(report):
     """Re-check every witness in a (possibly reloaded) report; True when
-    every decomposable record's witness still verifies and the record
-    count matches the field size."""
+    every decomposable record's witness still verifies and the records are
+    exactly the q^n companions, in enumeration order."""
     spec = parse_field(report.field)
-    if report.total != spec.order ** report.n:
+    q = spec.order
+    if report.total != q ** report.n:
+        return False
+    expected = itertools.product(range(q), repeat=report.n)
+    if any(rec.form.low_coeffs != low
+           for rec, low in zip(report.records, expected)):
         return False
     for rec in report.records:
         if rec.status == "decomposable":

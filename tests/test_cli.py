@@ -193,6 +193,11 @@ class TestExitCodes:
                             "--mode", "brute", "--frobnicate")
         assert code == 2
 
+    def test_jobs_flag_is_gone(self, capsys):
+        code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "2",
+                            "--mode", "brute", "--jobs", "2")
+        assert code == 2
+
 
 class TestCache:
     ARGS = ("verify", "--field", "3", "--n", "2", "--mode", "constructive")
@@ -213,6 +218,32 @@ class TestCache:
             '"version": "0.1.0"', '"version": "0.1.0-cached"'))
         _, out, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
         assert "0.1.0-cached" in out
+
+    def test_truncated_entry_is_recomputed_and_repaired(self, capsys,
+                                                        tmp_path):
+        cache = tmp_path / "cache"
+        _, cold, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
+        entry = next(cache.iterdir())
+        entry.write_bytes(entry.read_bytes()[:len(cold) // 2])
+        code, out, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
+        assert code == 0
+        assert out == cold
+        assert entry.read_text() == cold
+
+    def test_entry_for_another_request_is_recomputed(self, capsys,
+                                                     tmp_path):
+        cache = tmp_path / "cache"
+        _, cold, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
+        entry = next(cache.iterdir())
+        for key, value in (("field", "5^1/0,1"), ("n", 3),
+                           ("mode", "brute")):
+            data = json.loads(cold)
+            data[key] = value
+            entry.write_text(json.dumps(data))
+            code, out, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
+            assert code == 0
+            assert out == cold
+            assert entry.read_text() == cold
 
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         flag_dir = tmp_path / "flag"

@@ -4,17 +4,21 @@ import dataclasses
 
 import pytest
 
+from weakper import companion
 from weakper.errors import (
     BadDimension,
     EnumerationTooLarge,
     FieldTooSmall,
+    InputError,
     NotMonic,
     TraceNotRealizable,
     ZeroDegree,
 )
 from weakper.poly import Poly
 from weakper.mat import Mat, char_poly, min_poly
+from weakper.search import verify_field
 from weakper.companion import (
+    Witness,
     companion_of,
     enumerate_companions,
     potent_companion_with_trace,
@@ -144,6 +148,65 @@ class TestTraceMatchedDecomposition:
         assert payload["n"] == 2
         assert payload["companion_coeffs"] == [1, 0]
         assert payload["source"] == "constructive"
+
+
+class TestPotentPartMemo:
+    MEMOS = (companion._potent_part, companion._potent_claims_hold)
+
+    def test_memos_are_bounded_and_hold_a_whole_field(self):
+        for memo in self.MEMOS:
+            maxsize = memo.cache_info().maxsize
+            assert maxsize is not None and maxsize >= 1024
+
+    def test_cached_potent_claims_do_not_carry_over(self, gf5):
+        form = companion_of(Poly(gf5, (1, 2, 3, 1)))
+        good = trace_matched_decomposition(form)
+        assert good.verify(form.matrix, check_iterative=True)
+        assert good.verify(form.matrix)
+        P, N, C = good.potent, good.nilpotent, form.matrix
+        for exponent in (good.exponent + 1, 1):
+            bad = dataclasses.replace(good, exponent=exponent)
+            assert not bad.verify(C)
+            assert not bad.verify(C, check_iterative=True)
+        # equal to the true exponent, yet not an int: Mat.__pow__ rejects it
+        bad = dataclasses.replace(good, exponent=float(good.exponent))
+        with pytest.raises(InputError):
+            bad.verify(C)
+        # same P, N not square-zero: P + N' is the matrix checked against
+        not_square_zero = Mat.identity(gf5, 3)
+        bad = dataclasses.replace(good, nilpotent=not_square_zero)
+        assert not bad.verify(P + not_square_zero)
+        # same P, square-zero N that does not sum to C
+        other = companion_of(Poly(gf5, (4, 0, 3, 1))).matrix - P
+        assert (other * other).is_zero() and other != N
+        bad = dataclasses.replace(good, nilpotent=other)
+        assert not bad.verify(C)
+        assert bad.verify(P + other)
+
+    def test_non_potent_part_fails_after_cache_warm(self, gf5):
+        form = companion_of(Poly(gf5, (1, 2, 1, 1)))
+        good = trace_matched_decomposition(form)
+        assert good.verify(form.matrix)
+        # x^2 (x + 1) is not squarefree, so its companion is not potent; it
+        # has the trace of C, so C - P is square-zero and only potency fails
+        P = companion_of(Poly(gf5, (0, 0, 1, 1))).matrix
+        C = companion_of(Poly(gf5, (3, 3, 1, 1))).matrix
+        bad = Witness(potent=P, nilpotent=C - P, exponent=good.exponent,
+                      commuting=(P * (C - P) == (C - P) * P),
+                      source="constructive")
+        assert ((C - P) * (C - P)).is_zero()
+        assert not bad.verify(C)
+
+    @pytest.mark.parametrize("field, n", [("gf5", 4), ("gf9", 3)])
+    def test_reports_equal_cold_cache_runs(self, request, field, n):
+        spec = request.getfixturevalue(field)
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        cold = verify_field(n, spec, "constructive").to_json_bytes()
+        hits = [memo.cache_info().hits for memo in self.MEMOS]
+        assert verify_field(n, spec, "constructive").to_json_bytes() == cold
+        assert all(memo.cache_info().hits > before
+                   for memo, before in zip(self.MEMOS, hits))
 
 
 class TestPotentTraceSet:

@@ -9,6 +9,9 @@ from weakper.errors import (
     ExponentOverflow,
     FieldMismatch,
     InputError,
+    LimitError,
+    MinPolyNotFound,
+    WeakperError,
 )
 from weakper.gf import build_field
 from weakper.mat import (
@@ -171,6 +174,20 @@ class TestDet:
 class TestMinPoly:
     def test_scalar_matrix(self, gf5):
         assert min_poly(Mat.identity(gf5, 3).scale(2)).coeffs == (3, 1)
+
+    def test_unreduced_power_raises_internal_error(self, gf3, monkeypatch):
+        # a broken product makes I, M, M^2 independent, which Cayley-Hamilton
+        # rules out; the check must raise, not be an assert that -O drops
+        units = iter(Mat._raw(gf3, 2, tuple(int(i == j) for i in range(4)))
+                     for j in (1, 2, 3))
+        monkeypatch.setattr(Mat, "__mul__", lambda self, other: next(units))
+        with pytest.raises(MinPolyNotFound):
+            min_poly(Mat.identity(gf3, 2))
+
+    def test_invariant_error_maps_to_exit_one(self):
+        # the CLI maps InputError to 2, LimitError to 3, other errors to 1
+        assert issubclass(MinPolyNotFound, WeakperError)
+        assert not issubclass(MinPolyNotFound, (InputError, LimitError))
 
     def test_companion_is_nonderogatory(self, gf3):
         for g in (Poly(gf3, (1, 0, 1)), Poly(gf3, (2, 2, 0, 1))):

@@ -291,9 +291,21 @@ class TestReports:
         data["records"] = data["records"][:-1]
         assert not reverify_report(load_report(json.dumps(data)))
 
+    def test_duplicated_record_detected(self, gf3):
+        data = json.loads(verify_field(2, gf3, "constructive").to_json_bytes())
+        data["records"][1] = data["records"][0]
+        assert not reverify_report(load_report(json.dumps(data)))
+
+    def test_reordered_records_detected(self, gf3):
+        data = json.loads(verify_field(2, gf3, "constructive").to_json_bytes())
+        data["records"].reverse()
+        assert not reverify_report(load_report(json.dumps(data)))
+
     def test_invalid_json_rejected(self):
         with pytest.raises(InputError):
             load_report("{not json")
+        with pytest.raises(InputError):
+            load_report(b"\xff{")
 
     def test_missing_keys_rejected(self):
         with pytest.raises(InputError):
