@@ -429,12 +429,14 @@ def build_parser():
                         help="cache directory (WEAKPER_CACHE overrides)")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--ext-bound", type=int, default=None,
-                        help="max extension degree (default: n)")
-    common.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
     common.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_BOUND)
     common.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
+
+    # read by sets and lemmas only
+    spectra = argparse.ArgumentParser(add_help=False)
+    spectra.add_argument("--ext-bound", type=int, default=None,
+                         help="max extension degree (default: n)")
+    spectra.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
 
     parser = argparse.ArgumentParser(
         prog="weakper",
@@ -460,7 +462,7 @@ def build_parser():
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--mode", choices=MODES, default="constructive")
 
-    p_sets = sub.add_parser("sets", parents=[common],
+    p_sets = sub.add_parser("sets", parents=[common, spectra],
                             help="trace set, unity sum set, pattern "
                                  "spectra, containment checks")
     p_sets.add_argument("--n", type=int, default=None)
@@ -470,10 +472,11 @@ def build_parser():
                                  "scan")
     p_conj.add_argument("--n", type=int, default=None)
 
-    p_lem = sub.add_parser("lemmas", parents=[common],
+    p_lem = sub.add_parser("lemmas", parents=[common, spectra],
                            help="run the lemma suite and print PASS/FAIL "
                                 "lines")
     p_lem.add_argument("--n", type=int, default=None)
+    p_lem.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 

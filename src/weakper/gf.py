@@ -26,9 +26,13 @@ DEFAULT_FIELD_BOUND = 1 << 20
 
 # exp/log multiplication tables are built lazily for extension fields up to
 # this order; dense addition tables for odd characteristic up to the smaller
-# bound.  Larger fields fall back to digit arithmetic.
+# bound.  Larger fields fall back to digit arithmetic.  A splitting field
+# such as GF(3^6) sees too few additions to repay a q^2-entry table.
 _MUL_TABLE_BOUND = 1 << 16
-_ADD_TABLE_BOUND = 1 << 10
+_ADD_TABLE_BOUND = 1 << 7
+# bound of the canonical-field and embedding memos: the largest sets and
+# lemmas commands tried touch at most 7 fields and 6 embeddings
+_FIELD_CACHE_SIZE = 64
 
 
 def is_prime(n):
@@ -394,7 +398,7 @@ class FieldSpec:
         return t
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def _canonical_field(p, l):
     return FieldSpec(p, l, _smallest_irreducible(p, l))
 
@@ -463,7 +467,7 @@ def subfield_lattice(spec):
                  for d in range(1, spec.l + 1) if spec.l % d == 0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def _embedding_powers(sub, sup):
     """Powers 1, b, ..., b^(sub.l - 1) of the smallest root b of sub's
     modulus inside sup."""

@@ -334,6 +334,19 @@ class ExtensionRoots:
     unresolved: tuple
 
 
+def root_extension(spec, d, field_bound):
+    """Canonical GF(q^d) over spec, where the roots of an irreducible of
+    degree d live; FieldTooLarge when its order exceeds field_bound."""
+    if d == 1:
+        return spec
+    try:
+        return build_field(spec.p, spec.l * d, field_bound)
+    except DegreeOutOfRange:
+        raise FieldTooLarge(
+            f"roots of a degree-{d} factor need GF({spec.p}^{spec.l * d}), "
+            f"beyond the bound {field_bound}") from None
+
+
 def _roots_of_irreducible(g, field_bound):
     """All deg(g) roots of an irreducible g, in canonical GF(q^deg)."""
     spec = g.spec
@@ -341,12 +354,7 @@ def _roots_of_irreducible(g, field_bound):
     if d == 1:
         return [(spec._neg(spec._mul(g.coeffs[0], spec._inv(g.coeffs[1])))
                  if g.coeffs[1] != 1 else spec._neg(g.coeffs[0]), spec)]
-    try:
-        ext = build_field(spec.p, spec.l * d, field_bound)
-    except DegreeOutOfRange:
-        raise FieldTooLarge(
-            f"roots of a degree-{d} factor need GF({spec.p}^{spec.l * d}), "
-            f"beyond the bound {field_bound}") from None
+    ext = root_extension(spec, d, field_bound)
     lifted = [embed(c, spec, ext) for c in g.coeffs]
     found = []
     for y in ext.elements():

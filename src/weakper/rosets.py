@@ -7,7 +7,9 @@ Three constructions back the containment lemmas:
   witness.
 - weight_patterns / pattern_spectra: integer weight vectors applied to the
   powers of the m-cycle permutation matrix, and the union of the spectra of
-  those matrices, resolved through bounded extensions.
+  those matrices, resolved through bounded extensions.  Each such matrix is
+  a circulant, so its spectrum is read off by evaluating the pattern at the
+  roots of unity.
 - prime_shift_certificate: for a spectrum element w, a shift a in the prime
   field with (w - a)^m again in the prime field.
 """
@@ -26,7 +28,7 @@ from .errors import (
 from .companion import potent_trace_set
 from .gf import DEFAULT_FIELD_BOUND, build_field, embed
 from .mat import Mat, char_poly, cycle_permutation_matrix, det
-from .poly import roots_in_extensions
+from .poly import root_extension, roots_in_extensions
 
 DEFAULT_M_MAX = 8
 # membership of a sum-set value in its witness pattern's spectrum is checked
@@ -124,20 +126,117 @@ def weight_patterns(m, n):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=_SPECTRA_CACHE_SIZE)
-def _pattern_spectra_cached(m, n, spec, ext_bound, field_bound):
+def _splitting_degree(m, p):
+    """(m', k): the p-free part m' of m and the order k of p modulo m'.
+
+    X^m - 1 = (X^m' - 1)^(m / m') in characteristic p, so every eigenvalue
+    of a pattern on the m-cycle is a value at an m'-th root of unity, and
+    GF(p^k) is the smallest field holding those roots.
+    """
+    while m % p == 0:
+        m //= p
+    k = 1
+    acc = p % m
+    while acc != 1 % m:
+        acc = acc * p % m
+        k += 1
+    return m, k
+
+
+def _spectra_by_char_poly(m, patterns, spec, ext_bound, field_bound):
+    """Each pattern's roots, chased by trial division through the
+    characteristic polynomial of the pattern applied to the m-cycle."""
+    cycle = cycle_permutation_matrix(spec, m)
+    for pattern in patterns:
+        chi = char_poly(pattern.apply(cycle))
+        yield pattern, roots_in_extensions(chi, ext_bound, field_bound).roots
+
+
+def _spectra_by_evaluation(m, patterns, spec, ext_bound, field_bound):
+    """Each pattern's roots, read off as the values f(zeta^j) for j < m',
+    where zeta is a primitive m'-th root of unity in GF(p^k).
+
+    f(P_m) is a circulant, so these values are its eigenvalues.  A value of
+    degree e over GF(p) has degree d = e / gcd(e, l) over the base field; it
+    is kept when d <= ext_bound and reported in canonical GF(q^d) through
+    GF(p^e), which embeds in both fields.  f has prime-field coefficients,
+    so each pattern's values are closed under Frobenius, and the choice of
+    embeddings cannot change the reported set.  Roots come in the order
+    roots_in_extensions gives, and a home beyond field_bound raises the
+    same FieldTooLarge, for the smallest such d of the first pattern.
+    """
+    p, l = spec.p, spec.l
+    order, k = _splitting_degree(m, p)
+    split = build_field(p, k, field_bound)
+    zeta = split._pow(split.generator(), (split.order - 1) // order)
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(split._mul(powers[-1], zeta))
+    preimages = {}  # e -> {image in split: element of GF(p^e)}
+    placed = {}  # value in split -> (encoding, home), or None past ext_bound
+
+    def prime_degree(v):
+        e = 1
+        x = split._pow(v, p)
+        while x != v:
+            e += 1
+            x = split._pow(x, p)
+        return e
+
+    def place(v, e, d):
+        sub = build_field(p, e, field_bound)
+        if e not in (1, k):
+            if e not in preimages:
+                preimages[e] = {embed(x, sub, split): x
+                                for x in sub.elements()}
+            v = preimages[e][v]
+        home = root_extension(spec, d, field_bound)
+        return embed(v, sub, home), home
+
+    for pattern in patterns:
+        # a weight mod p is a prime-field element, encoded as itself
+        weights = [(e, w % p) for e, w in pattern.coeffs if w % p]
+        values = set()
+        for j in range(order):
+            acc = 0
+            for e, w in weights:
+                acc = split._add(acc, split._mul(powers[e * j % order], w))
+            values.add(acc)
+        fresh = []
+        for v in values - placed.keys():
+            e = prime_degree(v)
+            fresh.append((e // math.gcd(e, l), v, e))
+        # ascending d, so an oversized home raises for the smallest d first
+        for d, v, e in sorted(fresh):
+            placed[v] = place(v, e, d) if d <= ext_bound else None
+        roots = [placed[v] for v in values if placed[v] is not None]
+        roots.sort(key=lambda rf: (rf[1].l, rf[0]))
+        yield pattern, tuple(roots)
+
+
+def _first_appearances(per_pattern):
+    """((root, home), first pattern showing it), in order of appearance."""
     spectra = []
     seen = set()
-    cycle = cycle_permutation_matrix(spec, m)
-    for pattern in weight_patterns(m, n):
-        chi = char_poly(pattern.apply(cycle))
-        found = roots_in_extensions(chi, ext_bound, field_bound)
-        for root, home in found.roots:
-            key = (root, home)
+    for pattern, roots in per_pattern:
+        for key in roots:
             if key not in seen:
                 seen.add(key)
                 spectra.append((key, pattern))
     return tuple(spectra)
+
+
+@functools.lru_cache(maxsize=_SPECTRA_CACHE_SIZE)
+def _pattern_spectra_cached(m, n, spec, ext_bound, field_bound):
+    # evaluation needs GF(p^k); past the field bound, trial division still
+    # finds every root of degree <= ext_bound over the base field
+    _, k = _splitting_degree(m, spec.p)
+    if spec.p ** k > field_bound:
+        route = _spectra_by_char_poly
+    else:
+        route = _spectra_by_evaluation
+    return _first_appearances(
+        route(m, weight_patterns(m, n), spec, ext_bound, field_bound))
 
 
 def pattern_spectra(m, n, spec, ext_bound, field_bound=DEFAULT_FIELD_BOUND):

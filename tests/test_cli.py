@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from weakper import gf, rosets
 from weakper.cli import run
 
 
@@ -73,6 +74,17 @@ class TestSetsCommand:
         rows = json.loads(out)["pattern_spectra"]["2"]
         assert {"field": "2^1/0,1", "root": 1,
                 "pattern": {"m": 2, "weights": [0, 1]}} in rows
+
+
+    def test_report_unchanged_after_cache_clear(self, capsys):
+        args = ("sets", "--field", "2^2", "--n", "2", "--m-max", "7")
+        warm = invoke(capsys, *args)
+        for memo in (gf._canonical_field, gf._embedding_powers,
+                     rosets._pattern_spectra_cached, rosets._unity_pool,
+                     rosets._unity_sums_cached):
+            memo.cache_clear()
+        assert invoke(capsys, *args) == warm
+        assert gf._canonical_field.cache_info().misses > 0
 
 
 class TestDecomposeCommand:
@@ -191,6 +203,20 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "2",
                             "--mode", "brute", "--frobnicate")
+        assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--m-max", "4"), ("--ext-bound", "2"), ("--seed", "7")])
+    def test_spectra_flags_belong_to_sets_and_lemmas(self, capsys, flag,
+                                                      value):
+        code, _, err = invoke(capsys, "verify", "--field", "3", "--n", "2",
+                              flag, value)
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_seed_belongs_to_lemmas(self, capsys):
+        code, _, _ = invoke(capsys, "sets", "--field", "3", "--n", "2",
+                            "--seed", "7")
         assert code == 2
 
     def test_jobs_flag_is_gone(self, capsys):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from weakper import gf
 from weakper.errors import (
     DegreeOutOfRange,
     DivisionByZero,
@@ -229,3 +230,8 @@ def test_build_field_bounds():
     assert build_field(2, 5, bound=1 << 6).order == 32
     with pytest.raises(DegreeOutOfRange):
         build_field(2, 7, bound=1 << 6)
+
+
+def test_field_memos_are_bounded():
+    for memo in (gf._canonical_field, gf._embedding_powers):
+        assert memo.cache_info().maxsize == 64

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from weakper.errors import BadDimension, InputError
+from weakper import rosets
+from weakper.errors import BadDimension, FieldTooLarge, InputError
 from weakper.gf import build_field, embed
 from weakper.mat import cycle_permutation_matrix
 from weakper.rosets import (
@@ -16,6 +17,11 @@ from weakper.rosets import (
     prime_shift_certificate,
     unity_sum_set,
     weight_patterns,
+    _first_appearances,
+    _pattern_spectra_cached,
+    _spectra_by_char_poly,
+    _spectra_by_evaluation,
+    _splitting_degree,
     _witness_membership,
     _witness_pattern_matrix,
 )
@@ -85,6 +91,128 @@ class TestPatternSpectra:
     def test_bad_extension_bound(self, gf3):
         with pytest.raises(InputError):
             pattern_spectra(2, 2, gf3, 0)
+
+
+# (p, l) of GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9)
+ROUTE_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+# (p, l, n) of the six sets/lemmas benchmark points, checked at ext = n
+LEMMA_SETS_POINTS = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (5, 1, 2),
+                     (5, 1, 3))
+
+
+def _spectra_oracle(m, n, spec, ext, bound=BOUND):
+    """The union of spectra by char_poly and trial-division root chasing."""
+    return _first_appearances(_spectra_by_char_poly(
+        m, weight_patterns(m, n), spec, ext, bound))
+
+
+class TestSpectraByEvaluation:
+    """The circulant evaluation route against the char_poly route."""
+
+    @pytest.mark.parametrize("p, l", ROUTE_FIELDS)
+    def test_matches_char_poly_route(self, p, l):
+        spec = build_field(p, l)
+        cases = [(m, ext) for m in range(2, 9) for ext in (1, 2)]
+        cases += [(m, n) for pp, ll, n in LEMMA_SETS_POINTS
+                  if (pp, ll) == (p, l) and n > 2 for m in range(2, 9)]
+        for m, ext in cases:
+            # a pattern's roots do not depend on the weight budget, so the
+            # budget-3 run covers budgets 1 and 2 pattern by pattern
+            patterns = weight_patterns(m, 3)
+            by_char_poly = list(_spectra_by_char_poly(
+                m, patterns, spec, ext, BOUND))
+            assert list(_spectra_by_evaluation(
+                m, patterns, spec, ext, BOUND)) == by_char_poly, (m, ext)
+            for n in (1, 2, 3):
+                within = [(pat, roots) for pat, roots in by_char_poly
+                          if pat.weight() <= n]
+                assert [pat for pat, _ in within] == list(
+                    weight_patterns(m, n))
+                assert _pattern_spectra_cached.__wrapped__(
+                    m, n, spec, ext, BOUND) == _first_appearances(
+                        within), (m, n, ext)
+
+    def test_splitting_degree(self):
+        assert _splitting_degree(7, 3) == (7, 6)
+        assert _splitting_degree(12, 2) == (3, 2)
+        assert _splitting_degree(17, 5) == (17, 16)
+        # m a power of p: every eigenvalue is f(1)
+        assert _splitting_degree(8, 2) == (1, 1)
+        assert _splitting_degree(9, 3) == (1, 1)
+
+    @pytest.mark.parametrize("p, l, m", [(2, 1, 8), (2, 2, 4), (3, 1, 9),
+                                         (3, 2, 3), (5, 1, 5)])
+    def test_m_power_of_p(self, p, l, m):
+        spec = build_field(p, l)
+        for n in (1, 2, 3):
+            got = _pattern_spectra_cached.__wrapped__(m, n, spec, 2, BOUND)
+            assert got == _spectra_oracle(m, n, spec, 2)
+            # the roots are the pattern weights mod p, all in the base field
+            assert {key for key, _ in got} == {
+                (w % p, spec) for w in range(1, n + 1)}
+
+    @pytest.mark.parametrize("p, l, m", [(2, 1, 3), (2, 2, 5), (3, 1, 4),
+                                         (3, 1, 3), (5, 1, 6)])
+    def test_weights_vanishing_mod_p(self, p, l, m):
+        spec = build_field(p, l)
+        patterns = [pat for pat in weight_patterns(m, p)
+                    if all(w % p == 0 for _, w in pat.coeffs)]
+        assert patterns
+        # f(P_m) is the zero matrix, so its only eigenvalue is 0
+        for route in (_spectra_by_evaluation, _spectra_by_char_poly):
+            assert [roots for _, roots in route(
+                m, patterns, spec, 2, BOUND)] == [((0, spec),)] * len(patterns)
+
+    def test_small_field_bound_forces_char_poly_route(self, gf3,
+                                                      monkeypatch):
+        # m = 7 over GF(3) needs GF(3^6), of order 729
+        expected = _pattern_spectra_cached.__wrapped__(7, 2, gf3, 2, BOUND)
+        assert expected == _spectra_oracle(7, 2, gf3, 2)
+
+        def refuse(*args):
+            raise AssertionError("evaluation route taken")
+
+        monkeypatch.setattr(rosets, "_spectra_by_evaluation", refuse)
+        assert _pattern_spectra_cached.__wrapped__(
+            7, 2, gf3, 2, 728) == expected
+        with pytest.raises(AssertionError):
+            _pattern_spectra_cached.__wrapped__(7, 2, gf3, 2, 729)
+
+    def test_default_bound_takes_evaluation_route(self, gf5, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("char_poly route taken")
+
+        monkeypatch.setattr(rosets, "_spectra_by_char_poly", refuse)
+        assert _pattern_spectra_cached.__wrapped__(7, 2, gf5, 2, BOUND)
+        # m = 17 over GF(5) needs GF(5^16), past the default bound
+        with pytest.raises(AssertionError):
+            _pattern_spectra_cached.__wrapped__(17, 1, gf5, 1, BOUND)
+
+    def test_home_beyond_field_bound_raises_on_both_routes(self, gf4):
+        # GF(8) holds the 7th roots of unity, but the cubic ones live in
+        # GF(4^3) over GF(4), of order 64
+        patterns = weight_patterns(7, 1)
+        messages = []
+        for route in (_spectra_by_evaluation, _spectra_by_char_poly):
+            with pytest.raises(FieldTooLarge) as exc:
+                list(route(7, patterns, gf4, 3, 32))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "GF(2^6)" in messages[0]
+        with pytest.raises(FieldTooLarge):
+            _pattern_spectra_cached.__wrapped__(7, 1, gf4, 3, 32)
+        # roots past ext_bound are dropped before their home is built
+        assert _pattern_spectra_cached.__wrapped__(
+            7, 1, gf4, 2, 32) == _spectra_oracle(7, 1, gf4, 2, 32)
+
+    def test_smallest_oversized_home_raises_first(self, gf8):
+        # GF(16) holds the 15th roots of unity, which have degrees 1, 2
+        # and 4 over GF(8); both GF(8^2) and GF(8^4) exceed the bound
+        patterns = weight_patterns(15, 1)[:1]
+        for route in (_spectra_by_evaluation, _spectra_by_char_poly):
+            with pytest.raises(FieldTooLarge,
+                               match=r"degree-2 factor need GF\(2\^6\)"):
+                list(route(15, patterns, gf8, 4, 32))
 
 
 class TestUnitySumSet:
