@@ -1,10 +1,13 @@
 """Weakly-periodic decompositions of companion matrices over finite fields.
 
-A matrix is weakly periodic when it splits as P + N with P potent
-(P^k = P for some k >= 2) and N square-zero.  This package constructs
-such splittings for companion matrices by exact arithmetic, brute-forces
-small cases for cross-checking, and verifies the supporting identities
-(trace sets, root-of-unity sums, certificate lemmas) by enumeration.
+A matrix is weakly periodic when it splits as P + N with P potent and N
+square-zero.  Potent here means a squarefree minimal polynomial, which
+gives P^k = P for some k >= 2 but is stricter than that: the swap matrix
+over GF(2) has P^3 = P and is not potent in this sense.  This package
+constructs such splittings for companion matrices by exact arithmetic,
+brute-forces small cases for cross-checking, and verifies the supporting
+identities (trace sets, root-of-unity sums, certificate lemmas) by
+enumeration.
 """
 
 from .companion import (

@@ -21,7 +21,6 @@ from .companion import (
     companion_of,
     enumerate_companions,
     potent_trace_set,
-    trace_matched_decomposition,
 )
 from .errors import (
     InputError,
@@ -44,10 +43,9 @@ from .search import (
     DEFAULT_BRUTE_CAP,
     MODES,
     TOOL_VERSION,
-    brute_commuting_decompose,
-    brute_decompose,
     conjecture_scan,
     count_decompositions,
+    decompose,
     load_report,
     verify_field,
 )
@@ -170,18 +168,10 @@ def _cmd_decompose(args):
     form = companion_of(parse_poly(spec, args.poly))
     witness = None
     reason = None
-    if args.mode == "constructive":
-        try:
-            witness = trace_matched_decomposition(form)
-        except TraceNotRealizable as exc:
-            reason = str(exc)
-    elif args.mode == "brute":
-        witness = brute_decompose(form.matrix, args.brute_cap)
-    else:
-        witness = brute_commuting_decompose(form.matrix, args.brute_cap)
-    if witness is not None and not witness.verify(
-            form.matrix, require_commuting=(args.mode == "commuting")):
-        raise WeakperError("freshly built witness failed re-verification")
+    try:
+        witness = decompose(form, args.mode, args.brute_cap)
+    except TraceNotRealizable as exc:
+        reason = str(exc)
     payload = {
         "field": spec.descriptor(),
         "n": form.n,
@@ -279,7 +269,8 @@ def _cmd_sets(args):
             for (root, home), pattern in sorted(
                 spectra.items(), key=lambda kv: (kv[0][1].l, kv[0][0]))
         ]
-    report = containment_report(n, spec, ext, m_max)
+    report = containment_report(n, spec, ext, m_max,
+                                enum_bound=args.enum_cap)
     payload = {
         "field": spec.descriptor(),
         "n": n,
@@ -343,7 +334,8 @@ def _cmd_lemmas(args):
     rng = random.Random(args.seed)
     results = {}
 
-    report = containment_report(n, spec, ext, args.m_max)
+    report = containment_report(n, spec, ext, args.m_max,
+                                enum_bound=args.enum_cap)
     results["trace_set_in_unity_sums"] = (
         not report.trace_violations,
         f"violations {list(report.trace_violations)}"
@@ -425,12 +417,17 @@ def build_parser():
     common.add_argument("--field", required=True,
                         help="field descriptor, e.g. 3, 2^4, or 2^2/1,1,1")
     common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--cache",
-                        help="cache directory (WEAKPER_CACHE overrides)")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    common.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_BOUND)
-    common.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
+
+    # read by the subcommands that enumerate all q^n companions
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_BOUND)
+
+    # read by the subcommands that run a brute search
+    brute_cap = argparse.ArgumentParser(add_help=False)
+    brute_cap.add_argument("--brute-cap", type=int,
+                           default=DEFAULT_BRUTE_CAP)
 
     # read by sets and lemmas only
     spectra = argparse.ArgumentParser(add_help=False)
@@ -448,7 +445,7 @@ def build_parser():
                    help="field structure: modulus, generator, subfields, "
                         "roots of unity")
 
-    p_dec = sub.add_parser("decompose", parents=[common],
+    p_dec = sub.add_parser("decompose", parents=[common, brute_cap],
                            help="decompose one companion matrix")
     p_dec.add_argument("--poly", required=True,
                        help="monic polynomial a0,a1,...,1 (ascending)")
@@ -456,23 +453,26 @@ def build_parser():
     p_dec.add_argument("--count-witnesses", action="store_true",
                        help="also count every (P, N) pair exhaustively")
 
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[common, enum_cap, brute_cap],
                            help="decompose every companion matrix of "
                                 "degree n")
     p_ver.add_argument("--n", type=int, default=None)
+    p_ver.add_argument("--cache",
+                       help="cache directory (WEAKPER_CACHE overrides)")
     p_ver.add_argument("--mode", choices=MODES, default="constructive")
 
-    p_sets = sub.add_parser("sets", parents=[common, spectra],
+    p_sets = sub.add_parser("sets", parents=[common, enum_cap, spectra],
                             help="trace set, unity sum set, pattern "
                                  "spectra, containment checks")
     p_sets.add_argument("--n", type=int, default=None)
 
-    p_conj = sub.add_parser("conjecture", parents=[common],
+    p_conj = sub.add_parser("conjecture",
+                            parents=[common, enum_cap, brute_cap],
                             help="commuting-decomposition ground truth "
                                  "scan")
     p_conj.add_argument("--n", type=int, default=None)
 
-    p_lem = sub.add_parser("lemmas", parents=[common, spectra],
+    p_lem = sub.add_parser("lemmas", parents=[common, enum_cap, spectra],
                            help="run the lemma suite and print PASS/FAIL "
                                 "lines")
     p_lem.add_argument("--n", type=int, default=None)

@@ -65,52 +65,17 @@ def prime_factors(n):
     return tuple(out)
 
 
-def _tup_remainder(num, den, p):
-    """Remainder of num modulo monic den, both ascending coefficient tuples."""
-    work = [c % p for c in num]
-    dd = len(den) - 1
-    for k in range(len(work) - 1, dd - 1, -1):
-        c = work[k]
-        if c:
-            off = k - dd
-            for j in range(dd):
-                work[off + j] = (work[off + j] - c * den[j]) % p
-            work[k] = 0
-    while work and work[-1] == 0:
-        work.pop()
-    return tuple(work)
-
-
-def _tup_eval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _tup_is_irreducible(f, p):
-    l = len(f) - 1
-    if l == 1:
-        return True
-    if f[0] == 0:
-        return False
-    if any(_tup_eval(f, x, p) == 0 for x in range(p)):
-        return False
-    for d in range(2, l // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            if not _tup_remainder(f, low + (1,), p):
-                return False
-    return True
-
-
 def _smallest_irreducible(p, l):
     if l == 1:
         return (0, 1)
+    # poly imports this module, so the import waits for the first call
+    from .poly import Poly, is_irreducible
+    base = _canonical_field(p, 1)
     for low in itertools.product(range(p), repeat=l):
         if low[0] == 0:
             continue
         cand = low + (1,)
-        if _tup_is_irreducible(cand, p):
+        if is_irreducible(Poly._raw(base, cand)):
             return cand
     raise NoRootFound(f"no irreducible of degree {l} over GF({p})")
 

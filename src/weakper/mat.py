@@ -2,9 +2,12 @@
 rest of the package builds on: division-free characteristic polynomials,
 minimal polynomials via Krylov elimination, and potency tests.
 
-A matrix M is potent when M^(k+1) = M for some k >= 1; over a finite field
-that is equivalent to its minimal polynomial being squarefree, and both
-routes are implemented so they can be checked against each other.
+A matrix M counts as potent when its minimal polynomial is squarefree.
+That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
+than the ring-theoretic reading "M^(k+1) = M for some k >= 1": over GF(2)
+the swap matrix has M^3 = M, yet its minimal polynomial (X + 1)^2 is not
+squarefree, so it is not potent here.  Two routes test the squarefree
+reading so they can be checked against each other.
 """
 
 import math
@@ -316,14 +319,16 @@ def universal_potency_exponent(n, spec):
 
 
 def is_potent(M):
-    """True when M^(k+1) = M for some k >= 1, tested structurally: the
-    minimal polynomial must be squarefree."""
+    """True when the minimal polynomial of M is squarefree (see the module
+    docstring for how this differs from M^(k+1) = M for some k >= 1)."""
     return is_squarefree(min_poly(M))
 
 
 def is_potent_iterative(M):
-    """Same predicate as is_potent, but by raising M to the universal
-    exponent and comparing.  Kept as an independent route."""
+    """Same predicate as is_potent (squarefree minimal polynomial), decided
+    by testing M^(k+1) = M at the universal exponent k: X^(k+1) - X is
+    squarefree, so this holds exactly when is_potent does.  Kept as an
+    independent route."""
     k = universal_potency_exponent(M.n, M.spec)
     return M ** (k + 1) == M
 

@@ -4,7 +4,6 @@ Coefficients are stored ascending (index = degree) in a canonical tuple with
 no trailing zeros; the zero polynomial has an empty tuple and degree -1.
 """
 
-import dataclasses
 import itertools
 
 from .errors import (
@@ -279,23 +278,19 @@ def _monic_candidates(spec, d):
         yield Poly._raw(spec, low + (1,))
 
 
-def factor(f):
-    """Irreducible factorization of a nonzero polynomial.
+def _strip_factors(f, max_degree):
+    """Trial division of a monic f by every monic of degree <= max_degree.
 
-    Returns ((factor, multiplicity), ...) with monic factors sorted by
-    (degree, coefficient tuple); f equals lead * product.  Degrees above
-    FACTOR_DEGREE_CAP are rejected to keep trial division bounded.
+    Returns ([(factor, multiplicity), ...], rest) with the stripped
+    irreducible factors in (degree, coefficient tuple) order; rest is f with
+    them divided out.  Degrees stop at half of what remains, so a rest of
+    degree >= 1 has no factor of degree <= min(max_degree, deg(rest) / 2).
     """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    if f.degree > FACTOR_DEGREE_CAP:
-        raise DegreeOutOfRange(
-            f"degree {f.degree} exceeds the factoring cap {FACTOR_DEGREE_CAP}")
     spec = f.spec
-    work = f.monic()
+    work = f
     out = []
     d = 1
-    while 2 * d <= work.degree:
+    while d <= max_degree and 2 * d <= work.degree:
         for cand in _monic_candidates(spec, d):
             if work.degree < 2 * d:
                 break
@@ -312,26 +307,34 @@ def factor(f):
                 work = q
             out.append((cand, mult))
         d += 1
-    if work.degree >= 1:
-        # anything left has no factor of degree <= half its own, so it
-        # is irreducible
-        out.append((work, 1))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out, work
+
+
+def factor(f):
+    """Irreducible factorization of a nonzero polynomial.
+
+    Returns ((factor, multiplicity), ...) with monic factors sorted by
+    (degree, coefficient tuple); f equals lead * product.  Degrees above
+    FACTOR_DEGREE_CAP are rejected to keep trial division bounded.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    if f.degree > FACTOR_DEGREE_CAP:
+        raise DegreeOutOfRange(
+            f"degree {f.degree} exceeds the factoring cap {FACTOR_DEGREE_CAP}")
+    out, rest = _strip_factors(f.monic(), f.degree)
+    if rest.degree >= 1:
+        # rest has no factor of degree <= half its own, so it is
+        # irreducible, and of higher degree than every stripped factor
+        out.append((rest, 1))
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class ExtensionRoots:
-    """Roots of a polynomial gathered across bounded extension fields.
-
-    roots: ((encoding, FieldSpec), ...) sorted by (extension degree,
-    encoding); each root is reported once in the canonical field where its
-    minimal polynomial splits first.  unresolved: factors whose roots were
-    not chased, either because their degree exceeds the requested maximum
-    or because the residual could not be factored under the degree cap.
-    """
-    roots: tuple
-    unresolved: tuple
+def is_irreducible(f):
+    """True when f has degree >= 1 and no factor of degree <= deg(f) / 2."""
+    if f.is_zero():
+        raise ZeroPolynomial("irreducibility of 0 is undefined")
+    return f.degree >= 1 and not _strip_factors(f.monic(), f.degree // 2)[0]
 
 
 def root_extension(spec, d, field_bound):
@@ -369,51 +372,24 @@ def _roots_of_irreducible(g, field_bound):
 
 
 def roots_in_extensions(f, max_degree, field_bound=DEFAULT_FIELD_BOUND):
-    """Chase the roots of f through extensions GF(q^d) for d <= max_degree.
+    """Roots of f in the extensions GF(q^d) for d <= max_degree.
 
-    Trial division strips irreducible factors of degree <= max_degree in
-    ascending (degree, coefficients) order and collects their roots in the
-    canonical extension; whatever remains is reported unresolved.
+    Returns ((encoding, FieldSpec), ...) sorted by (extension degree,
+    encoding); each root is reported once, in the canonical field of its
+    irreducible factor's degree.  Irreducible factors of degree above
+    max_degree contribute nothing.
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has every root")
     if not isinstance(max_degree, int) or max_degree < 1:
         raise InputError(
             f"max_degree must be a positive integer, got {max_degree!r}")
-    spec = f.spec
-    work = f.monic()
-    roots = set()
-    d = 1
-    while d <= max_degree and work.degree >= 2 * d:
-        for cand in _monic_candidates(spec, d):
-            if work.degree < 2 * d:
-                break
-            q, r = divmod(work, cand)
-            if not r.is_zero():
-                continue
-            work = q
-            while True:
-                q, r = divmod(work, cand)
-                if r.is_zero():
-                    work = q
-                else:
-                    break
-            roots.update(_roots_of_irreducible(cand, field_bound))
-        d += 1
-    unresolved = []
-    if work.degree >= 1:
-        if work.degree < 2 * d:
-            # small-degree factors are stripped, so any two remaining
-            # factors would together exceed deg(work): work is irreducible
-            if work.degree <= max_degree:
-                roots.update(_roots_of_irreducible(work, field_bound))
-            else:
-                unresolved = [work]
-        elif work.degree <= FACTOR_DEGREE_CAP:
-            unresolved = [g for g, _ in factor(work)]
-        else:
-            unresolved = [work]
-    return ExtensionRoots(
-        roots=tuple(sorted(roots, key=lambda rf: (rf[1].l, rf[0]))),
-        unresolved=tuple(unresolved),
-    )
+    factors, rest = _strip_factors(f.monic(), max_degree)
+    irreducibles = [g for g, _ in factors]
+    if 1 <= rest.degree <= max_degree:
+        # every degree up to half of rest's was tried: rest is irreducible
+        irreducibles.append(rest)
+    roots = []
+    for g in irreducibles:
+        roots.extend(_roots_of_irreducible(g, field_bound))
+    return tuple(sorted(roots, key=lambda rf: (rf[1].l, rf[0])))

@@ -25,7 +25,7 @@ from .errors import (
     FieldTooLarge,
     InputError,
 )
-from .companion import potent_trace_set
+from .companion import DEFAULT_ENUM_BOUND, potent_trace_set
 from .gf import DEFAULT_FIELD_BOUND, build_field, embed
 from .mat import Mat, char_poly, cycle_permutation_matrix, det
 from .poly import root_extension, roots_in_extensions
@@ -149,7 +149,7 @@ def _spectra_by_char_poly(m, patterns, spec, ext_bound, field_bound):
     cycle = cycle_permutation_matrix(spec, m)
     for pattern in patterns:
         chi = char_poly(pattern.apply(cycle))
-        yield pattern, roots_in_extensions(chi, ext_bound, field_bound).roots
+        yield pattern, roots_in_extensions(chi, ext_bound, field_bound)
 
 
 def _spectra_by_evaluation(m, patterns, spec, ext_bound, field_bound):
@@ -453,7 +453,8 @@ class ContainmentReport:
 
 
 def containment_report(n, spec, ext_degree, m_max=DEFAULT_M_MAX,
-                       field_bound=DEFAULT_FIELD_BOUND):
+                       field_bound=DEFAULT_FIELD_BOUND,
+                       enum_bound=DEFAULT_ENUM_BOUND):
     """Check the three containment facts at one (n, field) point.
 
     (a) every potent-companion trace lies in the unity sum set, except
@@ -464,8 +465,9 @@ def containment_report(n, spec, ext_degree, m_max=DEFAULT_M_MAX,
     additionally appears in the enumerated pattern spectra when m <= m_max
     (members whose enumerated cross-check is out of range land in skipped);
     (c) divisor_count agrees with direct enumeration on every m used.
+    The q^n companions behind (a) are enumerated under enum_bound.
     """
-    traces = potent_trace_set(n, spec)
+    traces = potent_trace_set(n, spec, enum_bound)
     sums = unity_sum_set(n, spec, ext_degree, field_bound)
     trace_violations = []
     zero_exempt = False

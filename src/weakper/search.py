@@ -276,6 +276,31 @@ def fixed_point_certificate(C, P):
     return q_poly, ((s * s) % chi).is_zero()
 
 
+def decompose(form, mode, brute_cap=DEFAULT_BRUTE_CAP):
+    """Split one companion matrix by the route mode names.
+
+    Returns a witness re-verified by both potency routes (and for
+    commutation in commuting mode), or None when the route finds no split;
+    a witness that fails re-verification raises instead.  The constructive
+    route's TraceNotRealizable propagates.
+    """
+    if mode == "constructive":
+        witness = trace_matched_decomposition(form)
+    elif mode == "brute":
+        witness = brute_decompose(form.matrix, brute_cap)
+    elif mode == "commuting":
+        witness = brute_commuting_decompose(form.matrix, brute_cap)
+    else:
+        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    if witness is not None and not witness.verify(
+            form.matrix, require_commuting=(mode == "commuting"),
+            check_iterative=True):
+        raise WeakperError(
+            f"witness for {list(form.low_coeffs)} failed "
+            f"re-verification in mode {mode}")
+    return witness
+
+
 @dataclasses.dataclass(frozen=True)
 class CompanionRecord:
     form: CompanionForm
@@ -343,23 +368,11 @@ def verify_field(n, spec, mode, enum_bound=DEFAULT_ENUM_BOUND,
             f"constructive mode needs q >= n + 1, got q={spec.order}, n={n}")
     records = []
     for form in enumerate_companions(n, spec, enum_bound):
-        if mode == "constructive":
-            try:
-                witness = trace_matched_decomposition(form)
-            except TraceNotRealizable:
-                witness = None
-        elif mode == "brute":
-            witness = brute_decompose(form.matrix, brute_cap)
-        else:
-            witness = brute_commuting_decompose(form.matrix, brute_cap)
+        try:
+            witness = decompose(form, mode, brute_cap)
+        except TraceNotRealizable:
+            witness = None
         if witness is not None:
-            ok = witness.verify(form.matrix,
-                                require_commuting=(mode == "commuting"),
-                                check_iterative=True)
-            if not ok:
-                raise WeakperError(
-                    f"witness for {list(form.low_coeffs)} failed "
-                    f"re-verification in mode {mode}")
             records.append(CompanionRecord(form, "decomposable", witness))
         else:
             records.append(CompanionRecord(form, "not_decomposable", None))

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from weakper import companion
 from weakper.gf import build_field
 from weakper.mat import Mat
 from weakper.poly import Poly
@@ -143,3 +144,13 @@ def random_matrix(rng, spec, n):
 @pytest.fixture
 def seeded_rng():
     return random.Random(SEED)
+
+
+@pytest.fixture
+def iterative_route_rejects(monkeypatch):
+    """The iterative potency route rejects every matrix for one test; the
+    potent-claims memo is cleared around it so no verdict leaks."""
+    monkeypatch.setattr(companion, "is_potent_iterative", lambda M: False)
+    companion._potent_claims_hold.cache_clear()
+    yield
+    companion._potent_claims_hold.cache_clear()

@@ -114,6 +114,13 @@ class TestDecomposeCommand:
         assert code == 0
         assert json.loads(out)["status"] == "decomposable"
 
+    def test_witness_reverified_by_the_iterative_route(
+            self, capsys, iterative_route_rejects):
+        code, _, err = invoke(capsys, "decompose", "--field", "5",
+                              "--poly", "1,3,1", "--mode", "brute")
+        assert code == 1
+        assert "failed re-verification" in err
+
     def test_witness_count_flag(self, capsys):
         code, out, _ = invoke(capsys, "decompose", "--field", "2",
                               "--poly", "1,1,1", "--mode", "brute",
@@ -195,6 +202,13 @@ class TestExitCodes:
         assert code == 3
         assert "exceed" in err
 
+    def test_lemmas_trace_set_honours_enum_cap(self, capsys):
+        # 2^7 > 64, so only the containment report enumerates companions
+        code, _, err = invoke(capsys, "lemmas", "--field", "2", "--n", "7",
+                              "--enum-cap", "100")
+        assert code == 3
+        assert "exceed the bound 100" in err
+
     def test_brute_cap_is_resource_error(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--field", "2", "--n", "2",
                             "--mode", "brute", "--brute-cap", "10")
@@ -218,6 +232,26 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "sets", "--field", "3", "--n", "2",
                             "--seed", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("command, extra, flag, value", [
+        ("field-info", (), "--cache", "/x"),
+        ("field-info", (), "--enum-cap", "-5"),
+        ("field-info", (), "--brute-cap", "0"),
+        ("decompose", ("--poly", "1,1,1"), "--cache", "/x"),
+        ("decompose", ("--poly", "1,1,1"), "--enum-cap", "-5"),
+        ("sets", ("--n", "2"), "--cache", "/x"),
+        ("sets", ("--n", "2"), "--brute-cap", "0"),
+        ("conjecture", ("--n", "2"), "--cache", "/x"),
+        ("lemmas", ("--n", "2"), "--cache", "/x"),
+        ("lemmas", ("--n", "2"), "--brute-cap", "0"),
+    ])
+    def test_caps_belong_to_the_subcommands_that_read_them(
+            self, capsys, command, extra, flag, value):
+        # argparse rejects the pair before the subcommand runs
+        code, _, err = invoke(capsys, command, "--field", "3", *extra,
+                              flag, value)
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_jobs_flag_is_gone(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "2",

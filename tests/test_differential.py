@@ -1,5 +1,5 @@
 """Differential checks against sympy over prime fields: characteristic
-polynomials, factorisations and squarefreeness."""
+polynomials, factorisations, squarefreeness and irreducibility."""
 
 import pytest
 
@@ -7,7 +7,12 @@ sympy = pytest.importorskip("sympy")
 
 from weakper.gf import build_field  # noqa: E402
 from weakper.mat import Mat, char_poly  # noqa: E402
-from weakper.poly import Poly, factor, is_squarefree  # noqa: E402
+from weakper.poly import (  # noqa: E402
+    Poly,
+    factor,
+    is_irreducible,
+    is_squarefree,
+)
 
 PRIMES = (2, 3, 5, 7)
 X = sympy.Symbol("x")
@@ -75,3 +80,13 @@ def test_is_squarefree_matches_sympy(p, seeded_rng):
     for f in _samples(seeded_rng, spec):
         expected = all(mult == 1 for _, mult in _sympy_factors(f))
         assert is_squarefree(f) == expected, f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_is_irreducible_matches_sympy(p, seeded_rng):
+    spec = build_field(p, 1)
+    for d in range(1, 9):
+        for _ in range(4):
+            f = _random_poly(seeded_rng, spec, d)
+            sym = sympy.Poly(list(reversed(f.coeffs)), X, modulus=p)
+            assert is_irreducible(f) == sym.is_irreducible, f

@@ -49,6 +49,15 @@ def test_prime_factors():
         (3, 2, (1, 0, 1)),
         (2, 4, (1, 0, 0, 1, 1)),
         (5, 2, (1, 1, 1)),
+        # past FACTOR_DEGREE_CAP, and the splitting fields rosets builds
+        (2, 6, (1, 0, 0, 0, 0, 1, 1)),
+        (3, 4, (1, 0, 1, 1, 1)),
+        (3, 6, (1, 0, 0, 0, 1, 1, 1)),
+        (5, 4, (1, 0, 1, 1, 1)),
+        (5, 6, (1, 0, 0, 0, 1, 1, 1)),
+        (7, 4, (1, 0, 0, 1, 1)),
+        (2, 16, (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)),
+        (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1)),
     ],
 )
 def test_canonical_moduli(p, l, modulus):

@@ -16,6 +16,7 @@ from weakper.poly import (
     Poly,
     factor,
     gcd,
+    is_irreducible,
     is_squarefree,
     parse_poly,
     pow_mod,
@@ -168,24 +169,31 @@ def test_factor_multiplies_back(f, g):
     assert rebuilt == prod
 
 
+def test_is_irreducible_edges(gf2, gf4):
+    # X^2 + X + 1 is irreducible over GF(2) but splits over GF(4)
+    assert is_irreducible(Poly(gf2, (1, 1, 1)))
+    assert not is_irreducible(Poly(gf4, (1, 1, 1)))
+    assert is_irreducible(Poly(gf4, (2, 1, 1)))
+    assert not is_irreducible(Poly(gf2, (1,)))
+    with pytest.raises(ZeroPolynomial):
+        is_irreducible(Poly.zero(gf2))
+
+
 def test_roots_in_extensions_frozen(gf2, gf3, gf9):
     gf4 = build_field(2, 2)
     res = roots_in_extensions(Poly(gf3, (1, 0, 1)), 2)
-    assert res.unresolved == ()
-    assert res.roots == ((3, gf9), (6, gf9))
+    assert res == ((3, gf9), (6, gf9))
     res = roots_in_extensions(Poly(gf2, (1, 0, 0, 1)), 2)  # X^3 + 1
-    assert res.roots == ((1, gf2), (2, gf4), (3, gf4))
-    assert res.unresolved == ()
+    assert res == ((1, gf2), (2, gf4), (3, gf4))
     res = roots_in_extensions(Poly(gf2, (1, 1, 1)), 1)
-    assert res.roots == ()
-    assert res.unresolved == (Poly(gf2, (1, 1, 1)),)
+    assert res == ()
 
 
 def test_roots_count_with_multiplicity(gf3):
     # (X+1)^2 * X has roots {2, 0} after multiplicity stripping
     f = Poly(gf3, (0, 1, 2, 1))
     res = roots_in_extensions(f, 1)
-    assert res.roots == ((0, gf3), (2, gf3))
+    assert res == ((0, gf3), (2, gf3))
 
 
 @given(small_poly(GF3, 4))
@@ -193,7 +201,7 @@ def test_roots_replay(f):
     if f.is_zero() or f.degree < 1:
         return
     res = roots_in_extensions(f, 2)
-    for root, home in res.roots:
+    for root, home in res:
         coeffs = [embed(c, GF3, home) for c in f.coeffs]
         acc = 0
         for c in reversed(coeffs):

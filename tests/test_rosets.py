@@ -5,7 +5,12 @@ import math
 import pytest
 
 from weakper import rosets
-from weakper.errors import BadDimension, FieldTooLarge, InputError
+from weakper.errors import (
+    BadDimension,
+    EnumerationTooLarge,
+    FieldTooLarge,
+    InputError,
+)
 from weakper.gf import build_field, embed
 from weakper.mat import cycle_permutation_matrix
 from weakper.rosets import (
@@ -261,6 +266,10 @@ class TestUnitySumSet:
                         acc = comp._add(acc, image)
                 assert acc == embed(value, spec, comp)
 
+    def test_trace_set_honours_enum_bound(self, gf2):
+        with pytest.raises(EnumerationTooLarge):
+            containment_report(2, gf2, 1, 2, enum_bound=3)
+
     def test_serialize_shape(self, gf3):
         data = unity_sum_set(2, gf3, 1)[0].serialize()
         assert data["value"] == 0
@@ -389,6 +398,10 @@ class TestContainmentReport:
         report = containment_report(1, gf2, 1)
         assert report.passed
         assert report.zero_exempt
+
+    def test_trace_set_honours_enum_bound(self, gf2):
+        with pytest.raises(EnumerationTooLarge):
+            containment_report(2, gf2, 1, 2, enum_bound=3)
 
     def test_serialize_shape(self, gf3):
         data = containment_report(2, gf3, 2).serialize()

@@ -12,6 +12,8 @@ from weakper.errors import (
     NotCommuting,
     NotInvertible,
     SearchSpaceTooLarge,
+    TraceNotRealizable,
+    WeakperError,
 )
 from weakper.gf import build_field
 from weakper.poly import Poly
@@ -25,6 +27,7 @@ from weakper.search import (
     brute_decompose,
     conjecture_scan,
     count_decompositions,
+    decompose,
     fixed_point_certificate,
     load_report,
     reverify_report,
@@ -264,6 +267,31 @@ class TestVerifyField:
                 assert rec.witness.verify(
                     rec.form.matrix,
                     require_commuting=(mode == "commuting"))
+
+
+class TestDecompose:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_verify_field_records(self, gf3, mode):
+        report = verify_field(2, gf3, mode)
+        for rec in report.records:
+            assert decompose(rec.form, mode) == rec.witness
+
+    def test_trace_gap_propagates(self):
+        form = companion_of(Poly(build_field(2, 2), (1, 0, 1)))
+        with pytest.raises(TraceNotRealizable):
+            decompose(form, "constructive")
+
+    def test_mode_validated(self, gf3):
+        with pytest.raises(InputError):
+            decompose(companion_of(Poly(gf3, (1, 1, 1))), "bogus")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reverifies_by_the_iterative_route(
+            self, gf5, iterative_route_rejects, mode):
+        # a witness the iterative potency route rejects must not be
+        # returned, whichever route built it
+        with pytest.raises(WeakperError, match="re-verification"):
+            decompose(companion_of(Poly(gf5, (1, 3, 1))), mode)
 
 
 class TestReports:
