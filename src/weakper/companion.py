@@ -36,6 +36,10 @@ DEFAULT_ENUM_BOUND = 1 << 20
 # evicts; traces cycle fastest in companion order, so a smaller cache would
 # miss on every call once q exceeded it.
 _POTENT_CACHE_SIZE = 1024
+# bound of the potent-trace-set memo: `sets` asks for the set, then its
+# containment report asks again with the same arguments.  The memo is typed,
+# so n = 2.0 still raises BadDimension after n = 2 was cached.
+_TRACE_SET_CACHE_SIZE = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,6 +211,7 @@ def trace_matched_decomposition(form):
     )
 
 
+@functools.lru_cache(maxsize=_TRACE_SET_CACHE_SIZE, typed=True)
 def potent_trace_set(n, spec, bound=DEFAULT_ENUM_BOUND):
     """Traces of all potent companion matrices: { -a_{n-1} : g squarefree }.
 

@@ -331,10 +331,21 @@ def factor(f):
 
 
 def is_irreducible(f):
-    """True when f has degree >= 1 and no factor of degree <= deg(f) / 2."""
+    """Ben-Or's test: f of degree d >= 1 is irreducible exactly when
+    gcd(f, X^(q^i) - X) = 1 for every i <= d / 2, since X^(q^i) - X is the
+    product of the monic irreducibles of degree dividing i."""
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of 0 is undefined")
-    return f.degree >= 1 and not _strip_factors(f.monic(), f.degree // 2)[0]
+    if f.degree < 1:
+        return False
+    f = f.monic()
+    x = Poly.x(f.spec)
+    h = x % f
+    for _ in range(f.degree // 2):
+        h = pow_mod(h, f.spec.order, f)
+        if gcd(f, h - x).degree > 0:
+            return False
+    return True
 
 
 def root_extension(spec, d, field_bound):

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms:
 char_poly_laplace expands the characteristic determinant by cofactors over
 polynomial entries, min_poly_scan finds the minimal polynomial by
-enumerating monic candidates in encoding order, and square_zero_oracle
-filters all q^(n^2) matrices for N^2 = 0.
+enumerating monic candidates in encoding order, square_zero_oracle
+filters all q^(n^2) matrices for N^2 = 0, and exp_log_chain builds the
+exp/log tables by one generic multiplication per entry.
 """
 
 import functools
@@ -132,6 +133,22 @@ def square_zero_oracle(spec, n):
         if ok:
             out.append(ent)
     return tuple(out)
+
+
+def exp_log_chain(spec):
+    """exp and log tables of an extension field from the chain
+    g^0, ..., g^(q-2), one digit-arithmetic multiplication per entry."""
+    q = spec.order
+    g = spec._find_generator()
+    exp = [1] * (2 * (q - 1))
+    log = [0] * q
+    acc = 1
+    for i in range(q - 1):
+        exp[i] = acc
+        exp[i + q - 1] = acc
+        log[acc] = i
+        acc = spec._raw_mul(acc, g)
+    return exp, log
 
 
 def random_matrix(rng, spec, n):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from weakper import gf, rosets
+from weakper import companion, gf, rosets
 from weakper.cli import run
 
 
@@ -81,10 +81,25 @@ class TestSetsCommand:
         warm = invoke(capsys, *args)
         for memo in (gf._canonical_field, gf._embedding_powers,
                      rosets._pattern_spectra_cached, rosets._unity_pool,
-                     rosets._unity_sums_cached):
+                     rosets._unity_sums_cached, companion.potent_trace_set):
             memo.cache_clear()
         assert invoke(capsys, *args) == warm
         assert gf._canonical_field.cache_info().misses > 0
+
+    def test_companions_enumerated_once(self, capsys):
+        companion.potent_trace_set.cache_clear()
+        code, _, _ = invoke(capsys, "sets", "--field", "3", "--n", "3",
+                            "--m-max", "4")
+        assert code == 0
+        info = companion.potent_trace_set.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_enumeration_bound_still_exits_3(self, capsys):
+        code, out, err = invoke(capsys, "sets", "--field", "2", "--n", "21",
+                                "--ext-bound", "1", "--m-max", "2")
+        assert (code, out) == (3, "")
+        assert err == ("error: 2^21 companion polynomials exceed the bound "
+                       "1048576\n")
 
 
 class TestDecomposeCommand:

@@ -231,3 +231,14 @@ class TestPotentTraceSet:
     def test_bad_dimension(self, gf3):
         with pytest.raises(BadDimension):
             potent_trace_set(0, gf3)
+
+    def test_memo_is_bounded_and_typed(self, gf3):
+        assert potent_trace_set.cache_info().maxsize is not None
+        assert potent_trace_set(2, gf3) == {0, 1, 2}
+        with pytest.raises(BadDimension):
+            potent_trace_set(2.0, gf3)
+
+    def test_enumeration_bound_is_checked_on_every_call(self, gf3):
+        for _ in range(2):
+            with pytest.raises(EnumerationTooLarge):
+                potent_trace_set(3, gf3, 26)

@@ -9,6 +9,7 @@ from weakper.errors import (
     DivisionByZero,
     FieldMismatch,
     InputError,
+    NoRootFound,
     NotASubfield,
     NotPrime,
 )
@@ -22,8 +23,14 @@ from weakper.gf import (
     subfield_lattice,
 )
 
+from conftest import exp_log_chain
+
 GF8 = build_field(2, 3)
 GF9 = build_field(3, 2)
+# every table-built extension field with p <= 13 up to 2^15, among them odd
+# degrees such as 3^7, 7^5 and 2^15 whose two digit chunks differ in length
+TABLE_FIELDS = [(p, l) for p in (2, 3, 5, 7, 11, 13)
+                for l in range(2, 16) if p ** l <= 1 << 15]
 
 
 def test_is_prime_small_table():
@@ -163,6 +170,63 @@ def test_generators_frozen(gf4, gf5, gf7, gf9):
     assert gf5.generator() == 2
     assert gf7.generator() == 3
     assert gf9.generator() == 4
+
+
+def fresh_field(p, l):
+    """An uncached copy of the canonical GF(p^l), with no tables yet."""
+    return gf.FieldSpec(p, l, build_field(p, l).modulus)
+
+
+@pytest.mark.parametrize("p,l", TABLE_FIELDS)
+def test_mul_tables_match_chain_oracle(p, l):
+    spec = fresh_field(p, l)
+    spec.mul(1, 1)
+    exp, log = exp_log_chain(spec)
+    assert spec._exp == exp
+    assert spec._log == log
+    assert all(exp[log[x]] == x for x in range(1, spec.order))
+
+
+@pytest.mark.parametrize("p,l", [(3, 2), (2, 4), (5, 6), (7, 5), (2, 15)])
+def test_table_build_rejects_a_non_generator(monkeypatch, p, l):
+    canonical = build_field(p, l)
+    g = canonical.generator()
+    # 0, 1 and g^r of order (q - 1) / r for each prime r dividing q - 1
+    wrong = [0, 1] + [canonical.pow(g, r)
+                      for r in prime_factors(canonical.order - 1)]
+    for not_generator in wrong:
+        monkeypatch.setattr(gf.FieldSpec, "_find_generator",
+                            lambda self: not_generator)
+        with pytest.raises(NoRootFound):
+            fresh_field(p, l).mul(1, 1)
+
+
+def test_gf5_6_tables_cost_few_generic_multiplications(monkeypatch):
+    # machine-independent guard: one generic multiplication per table
+    # entry would be q - 1 = 15,624 of them
+    calls = {"raw_mul": 0, "find_generator": 0}
+    raw_mul = gf.FieldSpec._raw_mul
+    find_generator = gf.FieldSpec._find_generator
+
+    def counted_raw_mul(self, x, y):
+        calls["raw_mul"] += 1
+        return raw_mul(self, x, y)
+
+    def counted_find_generator(self):
+        calls["find_generator"] += 1
+        return find_generator(self)
+
+    monkeypatch.setattr(gf.FieldSpec, "_raw_mul", counted_raw_mul)
+    monkeypatch.setattr(gf.FieldSpec, "_find_generator",
+                        counted_find_generator)
+    spec = gf._canonical_field.__wrapped__(5, 6)
+    assert spec._exp is None and spec._log is None
+    g = spec.generator()
+    assert spec.mul(g, g) == spec._exp[2]
+    assert calls["raw_mul"] < 1000
+    assert calls["find_generator"] == 1
+    assert len(spec._exp) == 2 * (spec.order - 1)
+    assert len(spec._log) == spec.order
 
 
 def test_element_orders_gf9(gf9):
