@@ -2,9 +2,9 @@
 """Hunt for companion matrices with no commuting potent + square-zero split.
 
 Sweeps every canonical field up to a size bound at a fixed dimension and
-prints the companions (if any) for which the exhaustive commuting search
-comes back empty.  An empty last line means the sweep found no obstruction
-at this scale.
+prints the companions (if any) with no commuting split, that is, whose
+polynomial is not cube-free.  An empty last line means the sweep found no
+obstruction at this scale.
 """
 
 import argparse
@@ -15,16 +15,15 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from weakper.errors import SearchSpaceTooLarge
+from weakper.errors import EnumerationTooLarge
 from weakper.gf import build_field, is_prime
-from weakper.search import DEFAULT_BRUTE_CAP, conjecture_scan
+from weakper.search import conjecture_scan
 
 
 @dataclasses.dataclass(frozen=True)
 class ScanConfig:
     n: int
     max_order: int
-    brute_cap: int = DEFAULT_BRUTE_CAP
     out: pathlib.Path | None = None
 
 
@@ -45,13 +44,11 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--max-order", type=int, default=5)
-    ap.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
     ap.add_argument("--out", default=None, help="optional JSON summary path")
     args = ap.parse_args(argv)
     return ScanConfig(
         n=args.n,
         max_order=args.max_order,
-        brute_cap=args.brute_cap,
         out=pathlib.Path(args.out) if args.out else None,
     )
 
@@ -62,8 +59,8 @@ def main(argv=None):
     summary = []
     for spec in canonical_fields(config.max_order):
         try:
-            scan = conjecture_scan(config.n, spec, brute_cap=config.brute_cap)
-        except SearchSpaceTooLarge as exc:
+            scan = conjecture_scan(config.n, spec)
+        except EnumerationTooLarge as exc:
             print(f"SKIP {spec.descriptor()}: {exc}")
             continue
         misses = [list(g) for g in scan.non_decomposable]

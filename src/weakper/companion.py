@@ -216,7 +216,9 @@ def potent_trace_set(n, spec, bound=DEFAULT_ENUM_BOUND):
     """Traces of all potent companion matrices: { -a_{n-1} : g squarefree }.
 
     A companion matrix is non-derogatory, so it is potent exactly when its
-    defining polynomial is squarefree.
+    defining polynomial is squarefree.  Each trace is scanned on its own,
+    with a_0 varying fastest: X^2 divides every g with a_0 = a_1 = 0, so
+    walking a_0 slowest would test those q^(n-2) hopeless g first.
     """
     if not isinstance(n, int) or n < 1:
         raise BadDimension(f"dimension must be >= 1, got {n!r}")
@@ -225,13 +227,10 @@ def potent_trace_set(n, spec, bound=DEFAULT_ENUM_BOUND):
         raise EnumerationTooLarge(
             f"{q}^{n} companion polynomials exceed the bound {bound}")
     out = set()
-    neg = spec._neg
-    for low in itertools.product(range(q), repeat=n):
-        t = neg(low[-1])
-        if t in out:
-            continue
-        if is_squarefree(Poly._raw(spec, low + (1,))):
-            out.add(t)
-            if len(out) == q:
+    for t in range(q):
+        top = (spec._neg(t), 1)
+        for rest in itertools.product(range(q), repeat=n - 1):
+            if is_squarefree(Poly._raw(spec, rest[::-1] + top)):
+                out.add(t)
                 break
     return frozenset(out)

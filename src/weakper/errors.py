@@ -103,11 +103,6 @@ class SearchSpaceTooLarge(LimitError):
     """The brute-force candidate space exceeds the configured bound."""
 
 
-class DerogatoryMatrix(InputError):
-    """The minimal polynomial has degree below n, so the matrices commuting
-    with this one are not just the polynomials in it."""
-
-
 class NotInvertible(InputError):
     """An invertible matrix is required."""
 

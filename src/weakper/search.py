@@ -1,24 +1,24 @@
 """Exhaustive decomposition search and whole-field verification.
 
-brute_decompose and brute_commuting_decompose are exact decision procedures
-at desk scale: they scan every square-zero candidate N in encoding order
-and accept the first one making C - N potent (and commuting with it, in
-the commuting variant).  The candidates are enumerated by structure, not
+brute_decompose is an exact decision procedure at desk scale: it scans
+every square-zero candidate N in encoding order and accepts the first one
+making C - N potent.  The candidates are enumerated by structure, not
 filtered out of all q^(n^2) matrices: a square-zero N is built from its
 image W, a subspace of its own kernel, and a full-rank map onto W from the
-functionals vanishing on W; a commuting candidate is f(C) with h | f,
-where h is the least polynomial with g | h^2 for g = min_poly(C).  Both
-lists are sorted by entry tuple, which is encoding order.  The brute cap
-still bounds q^(n^2), the size of the space the candidates come from.
-verify_field runs one of the decomposition routes over all q^n companion
-matrices and emits a deterministic report whose witnesses have all been
-re-verified.
+functionals vanishing on W, and the list is sorted by entry tuple, which
+is encoding order.  The brute cap still bounds q^(n^2), the size of the
+space the candidates come from.  brute_commuting_decompose needs no
+search: the potent part of a commuting split is the Jordan-Chevalley
+semisimple part of C, a q-power of C.  verify_field runs one of the
+decomposition routes over all q^n companion matrices and emits a
+deterministic report whose witnesses have all been re-verified.
 """
 
 import dataclasses
 import functools
 import itertools
 import json
+import math
 
 from .companion import (
     DEFAULT_ENUM_BOUND,
@@ -29,7 +29,6 @@ from .companion import (
     trace_matched_decomposition,
 )
 from .errors import (
-    DerogatoryMatrix,
     FieldTooSmall,
     InputError,
     NoPolynomialRepresentation,
@@ -44,11 +43,11 @@ from .mat import (
     Mat,
     char_poly,
     is_potent,
+    is_square_zero,
     linear_combination,
-    min_poly,
     potency_exponent,
 )
-from .poly import Poly, factor, pow_mod
+from .poly import Poly, pow_mod
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_BRUTE_CAP = 1 << 24
@@ -146,43 +145,6 @@ def _square_zero_entries(spec, n):
     return tuple(out)
 
 
-def _power_entries(C):
-    """Entry tuples of I, C, ..., C^(n-1)."""
-    powers = []
-    acc = Mat.identity(C.spec, C.n)
-    for _ in range(C.n):
-        powers.append(acc.entries)
-        acc = acc * C
-    return powers
-
-
-def _commuting_square_zero_entries(C):
-    """Entry tuples of every N with N^2 = 0 and C.N = N.C, sorted.
-
-    C must be non-derogatory (deg min_poly(C) = n), as every companion
-    is: its commutant is then exactly the f(C) with deg f < n, and
-    f(C)^2 = 0 iff h | f, where h = prod pi^ceil(e/2) over the
-    factorisation min_poly(C) = prod pi^e.
-    """
-    spec, n = C.spec, C.n
-    g = min_poly(C)
-    if g.degree != n:
-        raise DerogatoryMatrix(
-            f"minimal polynomial has degree {g.degree} < {n}, so the "
-            f"commutant is not the polynomials in the matrix")
-    h = Poly.one(spec)
-    for pi, e in factor(g):
-        for _ in range((e + 1) // 2):
-            h = h * pi
-    powers = _power_entries(C)
-    # (X^i h)(C) for i < n - deg h span the candidates
-    span = [_combine(spec, (0,) * i + h.coeffs, powers, n * n)
-            for i in range(n - h.degree)]
-    return sorted(
-        _combine(spec, u, span, n * n)
-        for u in itertools.product(range(spec.order), repeat=len(span)))
-
-
 def brute_decompose(C, brute_cap=DEFAULT_BRUTE_CAP):
     """First witness C = P + N with N^2 = 0 and P potent, scanning N over
     all square-zero matrices in encoding order; None when no N works."""
@@ -219,26 +181,41 @@ def count_decompositions(C, brute_cap=DEFAULT_BRUTE_CAP):
     return {"total": total, "commuting": commuting}
 
 
-def brute_commuting_decompose(C, brute_cap=DEFAULT_BRUTE_CAP):
-    """Like brute_decompose with the extra requirement P·N = N·P.
+def brute_commuting_decompose(C):
+    """The witness C = P + N with N^2 = 0, P potent and P.N = N.P, or None
+    when C has none.
 
-    Only the square-zero N commuting with C are scanned, which are the
-    ones commuting with P = C - N; C must be non-derogatory.
+    P is potent, hence semisimple, and N nilpotent, so P must be the
+    semisimple part s of C, for every square matrix: a split exists
+    exactly when C - s squares to zero, and it is then the only one.
+    q^n >= n is at least the nilpotency index, so A = C^(q^n) = s^(q^n).
+    The q-th power is an automorphism of the algebra of s of order d, the
+    lcm of the degrees of the factors of min_poly(s), at most Landau's
+    g(n) (60 at n = 13); the steps B <- B^q from A return to A after d of
+    them, and s is the step j with n + j = 0 mod d.  That costs n + d
+    q-th powers, where C^(q^lcm(1..n)) would cost lcm(1..n).
     """
-    spec, n = C.spec, C.n
-    _check_search_space(spec, n, brute_cap)
-    for ent in _commuting_square_zero_entries(C):
-        N = Mat._raw(spec, n, ent)
-        P = C - N
-        if is_potent(P) and P * N == N * P:
-            return Witness(
-                potent=P,
-                nilpotent=N,
-                exponent=potency_exponent(P),
-                commuting=True,
-                source="brute_commuting",
-            )
-    return None
+    q, n = C.spec.order, C.n
+    orbit = [C ** (q ** n)]
+    bound = math.lcm(*range(1, n + 1))  # d divides it
+    while len(orbit) <= bound:
+        B = orbit[-1] ** q
+        if B == orbit[0]:
+            break
+        orbit.append(B)
+    P = orbit[-n % len(orbit)]
+    if len(orbit) > bound or not is_potent(P):
+        raise WeakperError("C^(q^n) is not semisimple, or s is not potent")
+    N = C - P
+    if not is_square_zero(N):
+        return None
+    return Witness(
+        potent=P,
+        nilpotent=N,
+        exponent=potency_exponent(P),
+        commuting=True,
+        source="brute_commuting",
+    )
 
 
 def root_of_unity_certificate(C, t):
@@ -266,7 +243,8 @@ def fixed_point_certificate(C, P):
     if C * P != P * C:
         raise NotCommuting("P does not commute with C")
     spec = C.spec
-    coeffs = linear_combination(_power_entries(C), P.entries, spec)
+    powers = [(C ** i).entries for i in range(C.n)]
+    coeffs = linear_combination(powers, P.entries, spec)
     if coeffs is None:
         raise NoPolynomialRepresentation(
             "P is not a polynomial in C although they commute")
@@ -289,7 +267,7 @@ def decompose(form, mode, brute_cap=DEFAULT_BRUTE_CAP):
     elif mode == "brute":
         witness = brute_decompose(form.matrix, brute_cap)
     elif mode == "commuting":
-        witness = brute_commuting_decompose(form.matrix, brute_cap)
+        witness = brute_commuting_decompose(form.matrix)
     else:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     if witness is not None and not witness.verify(
@@ -353,6 +331,18 @@ class VerifyReport:
                           separators=(",", ":")).encode("utf-8")
 
 
+def _record(form, mode, brute_cap):
+    """The report record of one companion; TraceNotRealizable counts as not
+    decomposable."""
+    try:
+        witness = decompose(form, mode, brute_cap)
+    except TraceNotRealizable:
+        witness = None
+    if witness is None:
+        return CompanionRecord(form, "not_decomposable", None)
+    return CompanionRecord(form, "decomposable", witness)
+
+
 def verify_field(n, spec, mode, enum_bound=DEFAULT_ENUM_BOUND,
                  brute_cap=DEFAULT_BRUTE_CAP):
     """Run one decomposition route over every companion matrix.
@@ -366,21 +356,12 @@ def verify_field(n, spec, mode, enum_bound=DEFAULT_ENUM_BOUND,
     if mode == "constructive" and spec.order < n + 1:
         raise FieldTooSmall(
             f"constructive mode needs q >= n + 1, got q={spec.order}, n={n}")
-    records = []
-    for form in enumerate_companions(n, spec, enum_bound):
-        try:
-            witness = decompose(form, mode, brute_cap)
-        except TraceNotRealizable:
-            witness = None
-        if witness is not None:
-            records.append(CompanionRecord(form, "decomposable", witness))
-        else:
-            records.append(CompanionRecord(form, "not_decomposable", None))
     return VerifyReport(
         field=spec.descriptor(),
         n=n,
         mode=mode,
-        records=tuple(records),
+        records=tuple(_record(form, mode, brute_cap)
+                      for form in enumerate_companions(n, spec, enum_bound)),
     )
 
 
@@ -399,9 +380,8 @@ class ConjectureScan:
         }
 
 
-def conjecture_scan(n, spec, enum_bound=DEFAULT_ENUM_BOUND,
-                    brute_cap=DEFAULT_BRUTE_CAP):
-    report = verify_field(n, spec, "commuting", enum_bound, brute_cap)
+def conjecture_scan(n, spec, enum_bound=DEFAULT_ENUM_BOUND):
+    report = verify_field(n, spec, "commuting", enum_bound)
     missing = tuple(r.form.low_coeffs for r in report.records
                     if r.status == "not_decomposable")
     return ConjectureScan(report=report, non_decomposable=missing)
@@ -446,17 +426,22 @@ def load_report(data):
     return report
 
 
+def _records_in_order(report):
+    """True when the records are exactly the q^n companions, in
+    enumeration order."""
+    q = parse_field(report.field).order
+    if report.total != q ** report.n:
+        return False
+    expected = itertools.product(range(q), repeat=report.n)
+    return all(rec.form.low_coeffs == low
+               for rec, low in zip(report.records, expected))
+
+
 def reverify_report(report):
     """Re-check every witness in a (possibly reloaded) report; True when
     every decomposable record's witness still verifies and the records are
     exactly the q^n companions, in enumeration order."""
-    spec = parse_field(report.field)
-    q = spec.order
-    if report.total != q ** report.n:
-        return False
-    expected = itertools.product(range(q), repeat=report.n)
-    if any(rec.form.low_coeffs != low
-           for rec, low in zip(report.records, expected)):
+    if not _records_in_order(report):
         return False
     for rec in report.records:
         if rec.status == "decomposable":
@@ -469,3 +454,13 @@ def reverify_report(report):
         elif rec.witness is not None:
             return False
     return True
+
+
+def failures_stand(report, brute_cap=DEFAULT_BRUTE_CAP):
+    """True when the records are the q^n companions in enumeration order
+    and every record not marked decomposable is a not_decomposable one
+    that its companion, run through the report's route again as
+    verify_field runs it, reproduces."""
+    return _records_in_order(report) and all(
+        _record(rec.form, report.mode, brute_cap).status == rec.status
+        for rec in report.records if rec.status != "decomposable")

@@ -171,3 +171,21 @@ def iterative_route_rejects(monkeypatch):
     companion._potent_claims_hold.cache_clear()
     yield
     companion._potent_claims_hold.cache_clear()
+
+
+@pytest.fixture
+def mat_product_budget(monkeypatch):
+    """Fail a test the moment it multiplies more than `budget` matrices;
+    call the fixture with the budget."""
+    def install(budget):
+        used = [0]
+        product = Mat.__mul__
+
+        def counted(a, b):
+            used[0] += 1
+            assert used[0] <= budget, f"more than {budget} matrix products"
+            return product(a, b)
+
+        monkeypatch.setattr(Mat, "__mul__", counted)
+        return used
+    return install

@@ -136,6 +136,23 @@ class TestDecomposeCommand:
         assert code == 1
         assert "failed re-verification" in err
 
+    def test_commuting_degree_13_is_prompt(self, capsys,
+                                           mat_product_budget):
+        # the route steps around the Frobenius cycle instead of raising C
+        # to the power 2^lcm(1..13)
+        mat_product_budget(1000)
+        code, out, _ = invoke(capsys, "decompose", "--field", "2",
+                              "--poly", "1,0,1,0,0,0,0,0,0,0,1,1,1,1",
+                              "--mode", "commuting")
+        assert code == 0
+        data = json.loads(out)
+        assert data["witness"]["source"] == "brute_commuting"
+        assert data["witness"]["potency_exponent"] == 1534
+        code, out, _ = invoke(capsys, "decompose", "--field", "2",
+                              "--poly", "0," * 13 + "1",
+                              "--mode", "commuting")
+        assert (code, json.loads(out)["status"]) == (1, "not_decomposable")
+
     def test_witness_count_flag(self, capsys):
         code, out, _ = invoke(capsys, "decompose", "--field", "2",
                               "--poly", "1,1,1", "--mode", "brute",
@@ -191,6 +208,14 @@ class TestConjectureCommand:
                               "--n", "2")
         assert code == 0
         assert json.loads(out)["non_decomposable"] == []
+
+    def test_gf3_n4_needs_no_search_bound(self, capsys):
+        # 3^16 matrices exceed the brute cap, but the commuting route
+        # searches none of them
+        code, out, _ = invoke(capsys, "conjecture", "--field", "3",
+                              "--n", "4", "--format", "text")
+        assert code == 0
+        assert out.splitlines()[1] == "total 81 decomposable 72"
 
 
 class TestExitCodes:
@@ -259,6 +284,7 @@ class TestExitCodes:
         ("conjecture", ("--n", "2"), "--cache", "/x"),
         ("lemmas", ("--n", "2"), "--cache", "/x"),
         ("lemmas", ("--n", "2"), "--brute-cap", "0"),
+        ("conjecture", ("--n", "2"), "--brute-cap", "0"),
     ])
     def test_caps_belong_to_the_subcommands_that_read_them(
             self, capsys, command, extra, flag, value):
@@ -319,6 +345,33 @@ class TestCache:
             assert code == 0
             assert out == cold
             assert entry.read_text() == cold
+
+    def test_split_record_marked_failed_is_recomputed(self, capsys,
+                                                      tmp_path):
+        args = ("verify", "--field", "2", "--n", "3", "--mode", "brute",
+                "--cache", str(tmp_path))
+        _, cold, _ = invoke(capsys, *args)
+        entry = next(tmp_path.iterdir())
+        for status in ("not_decomposable", "unknown"):
+            data = json.loads(cold)
+            del data["records"][0]["witness"]
+            data["records"][0]["status"] = status
+            entry.write_text(json.dumps(data))
+            code, out, _ = invoke(capsys, *args)
+            assert (code, out) == (0, cold)
+            assert entry.read_text() == cold
+
+    def test_entry_with_genuine_failures_is_served(self, capsys, tmp_path):
+        # GF(2) n=3 has two companions without a commuting split
+        args = ("verify", "--field", "2", "--n", "3", "--mode",
+                "commuting", "--cache", str(tmp_path))
+        _, cold, _ = invoke(capsys, *args)
+        assert json.loads(cold)["summary"]["failed"] == 2
+        entry = next(tmp_path.iterdir())
+        entry.write_text(cold.replace('"version": "0.1.0"',
+                                      '"version": "0.1.0-cached"'))
+        _, out, _ = invoke(capsys, *args)
+        assert "0.1.0-cached" in out
 
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         flag_dir = tmp_path / "flag"

@@ -14,8 +14,9 @@ from weakper.errors import (
     TraceNotRealizable,
     ZeroDegree,
 )
-from weakper.poly import Poly
-from weakper.mat import Mat, char_poly, min_poly
+from weakper.poly import Poly, is_squarefree
+from weakper.gf import build_field
+from weakper.mat import Mat, char_poly, is_potent, min_poly
 from weakper.search import verify_field
 from weakper.companion import (
     Witness,
@@ -237,6 +238,30 @@ class TestPotentTraceSet:
         assert potent_trace_set(2, gf3) == {0, 1, 2}
         with pytest.raises(BadDimension):
             potent_trace_set(2.0, gf3)
+
+    @pytest.mark.parametrize("p,l,n", [
+        (2, 1, 4), (2, 1, 5), (2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3),
+        (7, 1, 2)])
+    def test_matches_potent_companions(self, p, l, n):
+        spec = build_field(p, l)
+        assert potent_trace_set(n, spec) == {
+            form.trace() for form in enumerate_companions(n, spec)
+            if is_potent(form.matrix)}
+
+    def test_each_trace_reaches_a_squarefree_g_early(self, gf2,
+                                                     monkeypatch):
+        # X^2 divides the 2^14 g with a_0 = a_1 = 0; none of them may be
+        # tested before a squarefree g of the same trace
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return is_squarefree(g)
+
+        monkeypatch.setattr(companion, "is_squarefree", counting)
+        potent_trace_set.cache_clear()
+        assert potent_trace_set(16, gf2) == {0, 1}
+        assert len(calls) <= 8
 
     def test_enumeration_bound_is_checked_on_every_call(self, gf3):
         for _ in range(2):

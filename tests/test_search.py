@@ -1,12 +1,13 @@
 """Exhaustive decomposition search, certificates, and report plumbing."""
 
+import itertools
 import json
 
 import pytest
 
 from conftest import square_zero_oracle
+from weakper import search
 from weakper.errors import (
-    DerogatoryMatrix,
     FieldTooSmall,
     InputError,
     NotCommuting,
@@ -17,11 +18,10 @@ from weakper.errors import (
 )
 from weakper.gf import build_field
 from weakper.poly import Poly
-from weakper.mat import Mat
-from weakper.companion import companion_of, enumerate_companions
+from weakper.mat import Mat, is_potent, potency_exponent
+from weakper.companion import Witness, companion_of, enumerate_companions
 from weakper.search import (
     MODES,
-    _commuting_square_zero_entries,
     _square_zero_entries,
     brute_commuting_decompose,
     brute_decompose,
@@ -64,12 +64,12 @@ class TestBruteDecompose:
         assert w.verify(C)
 
     def test_search_space_bound(self, gf4):
-        # the cap bounds q^(n^2) in every search, whatever it enumerates
+        # the cap bounds q^(n^2) in every brute search, whatever it
+        # enumerates
         C = companion_of(Poly(gf4, (1, 0, 0, 0, 1))).matrix
-        for search in (brute_decompose, brute_commuting_decompose,
-                       count_decompositions):
+        for brute in (brute_decompose, count_decompositions):
             with pytest.raises(SearchSpaceTooLarge):
-                search(C, brute_cap=1000)
+                brute(C, brute_cap=1000)
 
 
 class TestCountDecompositions:
@@ -120,6 +120,20 @@ def square_zero_count(q, n):
     return total
 
 
+def first_commuting_witness(C, oracle):
+    """The commuting witness whose N comes first among the filter oracle's
+    square-zero matrices, or None."""
+    spec, n = C.spec, C.n
+    for ent in oracle:
+        N = Mat._raw(spec, n, ent)
+        P = C - N
+        if C * N == N * C and is_potent(P):
+            return Witness(potent=P, nilpotent=N,
+                           exponent=potency_exponent(P), commuting=True,
+                           source="brute_commuting")
+    return None
+
+
 ORACLE_CELLS = ([(2, 1, n) for n in range(1, 5)]
                 + [(3, 1, n) for n in range(1, 4)]
                 + [(2, 2, n) for n in range(1, 4)]
@@ -132,17 +146,13 @@ class TestSquareZeroEnumeration:
         spec = build_field(p, l)
         assert _square_zero_entries(spec, n) == square_zero_oracle(spec, n)
 
-    @pytest.mark.parametrize("p,l,n", [c for c in ORACLE_CELLS
-                                       if c != (5, 1, 2)])
+    @pytest.mark.parametrize("p,l,n", ORACLE_CELLS)
     def test_commuting_candidates_match_filter_oracle(self, p, l, n):
         spec = build_field(p, l)
         oracle = square_zero_oracle(spec, n)
         for form in enumerate_companions(n, spec):
-            C = form.matrix
-            expected = [ent for ent in oracle
-                        if C * Mat._raw(spec, n, ent)
-                        == Mat._raw(spec, n, ent) * C]
-            assert _commuting_square_zero_entries(C) == expected
+            assert (brute_commuting_decompose(form.matrix)
+                    == first_commuting_witness(form.matrix, oracle))
 
     @pytest.mark.parametrize("p,l,n,count", [
         (2, 1, 3, 22), (3, 1, 3, 105), (2, 2, 3, 316), (5, 1, 3, 745),
@@ -156,12 +166,6 @@ class TestSquareZeroEnumeration:
         zero = (0,) * (n * n)
         assert all((Mat._raw(spec, n, e) * Mat._raw(spec, n, e)).entries
                    == zero for e in entries)
-
-    def test_derogatory_matrix_rejected(self, gf3):
-        # 2*I commutes with every matrix, not only with polynomials in it
-        with pytest.raises(DerogatoryMatrix):
-            brute_commuting_decompose(Mat.identity(gf3, 2).scale(2))
-        assert issubclass(DerogatoryMatrix, InputError)
 
 
 class TestBruteCommutingDecompose:
@@ -181,6 +185,72 @@ class TestBruteCommutingDecompose:
             w = brute_commuting_decompose(form.matrix)
             assert w.verify(form.matrix)
             assert w.verify(form.matrix, require_commuting=True)
+
+    def test_derogatory_matrix_splits(self, gf3):
+        # 2*I commutes with every matrix, not only with polynomials in it
+        C = Mat.identity(gf3, 2).scale(2)
+        w = brute_commuting_decompose(C)
+        assert w.potent == C
+        assert w.nilpotent.is_zero()
+        assert w.exponent == 3
+
+    @pytest.mark.parametrize("p,l,n", [
+        (2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+    def test_matches_filter_oracle_on_every_matrix(self, p, l, n):
+        # derogatory matrices included: the route finds the semisimple
+        # part of every square matrix
+        spec = build_field(p, l)
+        oracle = square_zero_oracle(spec, n)
+        for ent in itertools.product(range(spec.order), repeat=n * n):
+            C = Mat._raw(spec, n, ent)
+            assert (brute_commuting_decompose(C)
+                    == first_commuting_witness(C, oracle))
+
+    @pytest.mark.parametrize("p,l,n", [
+        (2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+        (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6), (3, 1, 3), (3, 1, 4),
+        (2, 2, 3), (2, 2, 4)])
+    def test_count_is_the_cube_free_count(self, p, l, n):
+        # a companion splits commutingly iff its polynomial is cube-free,
+        # and q^n - q^(n-2) monics of degree n >= 3 are
+        spec = build_field(p, l)
+        q = spec.order
+        count = sum(brute_commuting_decompose(form.matrix) is not None
+                    for form in enumerate_companions(n, spec))
+        assert count == (q ** n - q ** (n - 2) if n >= 3 else q ** n)
+
+    def test_non_potent_power_raises(self, gf5, monkeypatch):
+        # the semisimple part is potent for every C; a failure is a broken
+        # invariant, not a missing split
+        monkeypatch.setattr(search, "is_potent", lambda M: False)
+        C = companion_of(Poly(gf5, (1, 3, 1))).matrix
+        with pytest.raises(WeakperError, match="semisimple"):
+            brute_commuting_decompose(C)
+
+    def test_power_that_never_cycles_back_raises(self, gf5, monkeypatch):
+        monkeypatch.setattr(Mat, "__eq__", lambda a, b: False)
+        C = companion_of(Poly(gf5, (1, 3, 1))).matrix
+        with pytest.raises(WeakperError, match="semisimple"):
+            brute_commuting_decompose(C)
+
+    @pytest.mark.parametrize("low,splits", [
+        # (X+1)^2 (X^2+X+1) times an irreducible of degree 9
+        ((1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1), True),
+        # X^13
+        ((0,) * 13, False),
+    ])
+    def test_degree_13_costs_few_products(self, gf2, low, splits,
+                                          mat_product_budget):
+        # C^(2^lcm(1..13)) would take 360,360 squarings; stepping around
+        # the Frobenius cycle takes n + d q-th powers, d <= g(13) = 60
+        C = companion_of(Poly(gf2, low + (1,))).matrix
+        used = mat_product_budget(400)
+        w = brute_commuting_decompose(C)
+        assert (w is not None) == splits
+        if splits:
+            assert w.potent * w.nilpotent == w.nilpotent * w.potent
+            assert w.verify(C, require_commuting=True)
+        assert used[0] > 0
 
 
 class TestRootOfUnityCertificate:
