@@ -206,8 +206,11 @@ def _cmd_decompose(args):
 
 
 def _verify_cache_key(spec, n, mode, enum_cap, brute_cap):
-    blob = "|".join(["verify", spec.descriptor(), str(n), mode,
-                     str(enum_cap), str(brute_cap), TOOL_VERSION])
+    # only brute mode reads brute_cap, so only its entries depend on it
+    fields = ["verify", spec.descriptor(), str(n), mode, str(enum_cap)]
+    if mode == "brute":
+        fields.append(str(brute_cap))
+    blob = "|".join(fields + [TOOL_VERSION])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -133,27 +133,6 @@ class FieldSpec:
         """All elements in ascending encoding order."""
         return range(self.order)
 
-    def digits(self, x):
-        """Base-p digits of x, ascending, always length l."""
-        self.check(x)
-        p = self.p
-        out = []
-        for _ in range(self.l):
-            out.append(x % p)
-            x //= p
-        return tuple(out)
-
-    def from_digits(self, digs):
-        if len(digs) > self.l:
-            raise FieldMismatch(
-                f"expected at most {self.l} digits, got {len(digs)}")
-        out = 0
-        for d in reversed(digs):
-            if not isinstance(d, int) or not 0 <= d < self.p:
-                raise FieldMismatch(f"{d!r} is not a base-{self.p} digit")
-            out = out * self.p + d
-        return out
-
     # unchecked arithmetic
 
     def _add(self, x, y):

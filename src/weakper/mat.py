@@ -21,7 +21,7 @@ from .errors import (
     MinPolyNotFound,
 )
 from .gf import prime_factors
-from .poly import Poly, is_squarefree, factor, pow_mod
+from .poly import Poly, distinct_degree_parts, is_squarefree, pow_mod
 
 EXPONENT_CAP = 1 << 63
 
@@ -337,18 +337,19 @@ def is_square_zero(M):
     return (M * M).is_zero()
 
 
-def _root_order(g):
-    """Multiplicative order of the roots of an irreducible g != X.
+def _root_order(h, d):
+    """Multiplicative order of X modulo h, a product of distinct
+    irreducibles of degree d other than X.
 
-    All roots of g are conjugate, hence share one order: the order of the
-    class of X in the quotient ring GF(q)[X]/(g).
+    GF(q)[X]/(h) is a product of copies of GF(q^d), so that order is the
+    lcm of the orders of the roots of h, and it divides q^d - 1.
     """
-    spec = g.spec
-    t = spec.order ** g.degree - 1
+    spec = h.spec
+    t = spec.order ** d - 1
     x = Poly.x(spec)
     one = Poly.one(spec)
     for r in prime_factors(t):
-        while t % r == 0 and pow_mod(x, t // r, g) == one:
+        while t % r == 0 and pow_mod(x, t // r, h) == one:
             t //= r
     return t
 
@@ -356,21 +357,22 @@ def _root_order(g):
 def potency_exponent(M):
     """The least t > 1 with M^t = M, or None when M is not potent.
 
-    For a potent M this is 1 + lcm of the root orders of the non-X factors
-    of the minimal polynomial; the empty lcm is 1, so M = 0 gets exponent 2.
+    For a potent M this is 1 + lcm of the orders of the roots of the
+    minimal polynomial other than 0, taken one distinct-degree part at a
+    time; the empty lcm is 1, so M = 0 gets exponent 2.
     """
     mp = min_poly(M)
     if not is_squarefree(mp):
         return None
+    if mp.coeffs[0] == 0:
+        mp = mp // Poly.x(M.spec)  # squarefree, so X divides it once
     k = 1
-    x = Poly.x(M.spec)
-    for g, _ in factor(mp):
-        if g == x:
-            continue
-        k = math.lcm(k, _root_order(g))
-        if k >= EXPONENT_CAP:
-            raise ExponentOverflow(
-                "potency exponent exceeds the cap 2^63")
+    for d, h in distinct_degree_parts(mp):
+        if h.degree > 0:
+            k = math.lcm(k, _root_order(h, d))
+            if k >= EXPONENT_CAP:
+                raise ExponentOverflow(
+                    "potency exponent exceeds the cap 2^63")
     return k + 1
 
 

@@ -278,40 +278,8 @@ def _monic_candidates(spec, d):
         yield Poly._raw(spec, low + (1,))
 
 
-def _strip_factors(f, max_degree):
-    """Trial division of a monic f by every monic of degree <= max_degree.
-
-    Returns ([(factor, multiplicity), ...], rest) with the stripped
-    irreducible factors in (degree, coefficient tuple) order; rest is f with
-    them divided out.  Degrees stop at half of what remains, so a rest of
-    degree >= 1 has no factor of degree <= min(max_degree, deg(rest) / 2).
-    """
-    spec = f.spec
-    work = f
-    out = []
-    d = 1
-    while d <= max_degree and 2 * d <= work.degree:
-        for cand in _monic_candidates(spec, d):
-            if work.degree < 2 * d:
-                break
-            q, r = divmod(work, cand)
-            if not r.is_zero():
-                continue
-            mult = 1
-            work = q
-            while True:
-                q, r = divmod(work, cand)
-                if not r.is_zero():
-                    break
-                mult += 1
-                work = q
-            out.append((cand, mult))
-        d += 1
-    return out, work
-
-
 def factor(f):
-    """Irreducible factorization of a nonzero polynomial.
+    """Irreducible factorization of a nonzero polynomial, by trial division.
 
     Returns ((factor, multiplicity), ...) with monic factors sorted by
     (degree, coefficient tuple); f equals lead * product.  Degrees above
@@ -322,30 +290,74 @@ def factor(f):
     if f.degree > FACTOR_DEGREE_CAP:
         raise DegreeOutOfRange(
             f"degree {f.degree} exceeds the factoring cap {FACTOR_DEGREE_CAP}")
-    out, rest = _strip_factors(f.monic(), f.degree)
-    if rest.degree >= 1:
-        # rest has no factor of degree <= half its own, so it is
+    work = f.monic()
+    out = []
+    d = 1
+    while 2 * d <= work.degree:
+        for cand in _monic_candidates(work.spec, d):
+            if work.degree < 2 * d:
+                break
+            mult = 0
+            q, r = divmod(work, cand)
+            while r.is_zero():
+                mult += 1
+                work = q
+                q, r = divmod(work, cand)
+            if mult:
+                out.append((cand, mult))
+        d += 1
+    if work.degree >= 1:
+        # work has no factor of degree <= half its own, so it is
         # irreducible, and of higher degree than every stripped factor
-        out.append((rest, 1))
+        out.append((work, 1))
     return tuple(out)
 
 
+def distinct_degree_parts(f):
+    """Distinct-degree factorization of a nonzero f (Cantor-Zassenhaus).
+
+    Yields (d, h_d) for d = 1, 2, ... while 2d is at most the degree of
+    what is left: h_d = gcd(f', X^(q^d) - X) is the monic product of the
+    distinct irreducible factors of degree d of f, f' being f with every
+    power of its factors of degree < d divided out, and h_d = 1 when f has
+    none.  What is left after that has no factor of degree up to half its
+    own, so it is irreducible; when nonconstant it is yielded last, with
+    its own degree.  Each step costs one q-th power modulo what is left,
+    and a caller that stops early pays for no further step.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no factorization")
+    spec = f.spec
+    work = f.monic()
+    x = Poly.x(spec)
+    h = x  # X^(q^d) mod work
+    d = 0
+    while 2 * (d + 1) <= work.degree:
+        d += 1
+        h = pow_mod(h, spec.order, work)
+        part = gcd(work, h - x)
+        yield d, part
+        if part.degree > 0:
+            # divide out every power of the degree-d factors
+            strip = part
+            while strip.degree > 0:
+                work = work // strip
+                strip = gcd(work, strip)
+            h = h % work
+    if work.degree >= 1:
+        yield work.degree, work
+
+
 def is_irreducible(f):
-    """Ben-Or's test: f of degree d >= 1 is irreducible exactly when
-    gcd(f, X^(q^i) - X) = 1 for every i <= d / 2, since X^(q^i) - X is the
-    product of the monic irreducibles of degree dividing i."""
+    """Ben-Or's test: f of degree >= 1 is irreducible exactly when its
+    first nontrivial distinct-degree part is the one of degree deg(f),
+    that is gcd(f, X^(q^i) - X) = 1 for every i <= deg(f) / 2."""
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of 0 is undefined")
     if f.degree < 1:
         return False
-    f = f.monic()
-    x = Poly.x(f.spec)
-    h = x % f
-    for _ in range(f.degree // 2):
-        h = pow_mod(h, f.spec.order, f)
-        if gcd(f, h - x).degree > 0:
-            return False
-    return True
+    d = next(d for d, h in distinct_degree_parts(f) if h.degree > 0)
+    return d == f.degree
 
 
 def root_extension(spec, d, field_bound):
@@ -361,27 +373,6 @@ def root_extension(spec, d, field_bound):
             f"beyond the bound {field_bound}") from None
 
 
-def _roots_of_irreducible(g, field_bound):
-    """All deg(g) roots of an irreducible g, in canonical GF(q^deg)."""
-    spec = g.spec
-    d = g.degree
-    if d == 1:
-        return [(spec._neg(spec._mul(g.coeffs[0], spec._inv(g.coeffs[1])))
-                 if g.coeffs[1] != 1 else spec._neg(g.coeffs[0]), spec)]
-    ext = root_extension(spec, d, field_bound)
-    lifted = [embed(c, spec, ext) for c in g.coeffs]
-    found = []
-    for y in ext.elements():
-        acc = 0
-        for c in reversed(lifted):
-            acc = ext._add(ext._mul(acc, y), c)
-        if acc == 0:
-            found.append((y, ext))
-            if len(found) == d:
-                break
-    return found
-
-
 def roots_in_extensions(f, max_degree, field_bound=DEFAULT_FIELD_BOUND):
     """Roots of f in the extensions GF(q^d) for d <= max_degree.
 
@@ -395,12 +386,23 @@ def roots_in_extensions(f, max_degree, field_bound=DEFAULT_FIELD_BOUND):
     if not isinstance(max_degree, int) or max_degree < 1:
         raise InputError(
             f"max_degree must be a positive integer, got {max_degree!r}")
-    factors, rest = _strip_factors(f.monic(), max_degree)
-    irreducibles = [g for g, _ in factors]
-    if 1 <= rest.degree <= max_degree:
-        # every degree up to half of rest's was tried: rest is irreducible
-        irreducibles.append(rest)
     roots = []
-    for g in irreducibles:
-        roots.extend(_roots_of_irreducible(g, field_bound))
+    for d, h in distinct_degree_parts(f):
+        if d <= max_degree and h.degree > 0:
+            # the distinct roots of h are exactly its deg(h) roots in
+            # GF(q^d), the home of each of its degree-d factors
+            ext = root_extension(f.spec, d, field_bound)
+            lifted = [embed(c, f.spec, ext) for c in h.coeffs]
+            found = 0
+            for y in ext.elements():
+                acc = 0
+                for c in reversed(lifted):
+                    acc = ext._add(ext._mul(acc, y), c)
+                if acc == 0:
+                    roots.append((y, ext))
+                    found += 1
+                    if found == h.degree:
+                        break
+        if d >= max_degree:
+            break
     return tuple(sorted(roots, key=lambda rf: (rf[1].l, rf[0])))

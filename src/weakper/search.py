@@ -145,39 +145,41 @@ def _square_zero_entries(spec, n):
     return tuple(out)
 
 
-def brute_decompose(C, brute_cap=DEFAULT_BRUTE_CAP):
-    """First witness C = P + N with N^2 = 0 and P potent, scanning N over
-    all square-zero matrices in encoding order; None when no N works."""
+def _potent_splits(C, brute_cap):
+    """Every split (P, N) of C with N^2 = 0 and P = C - N potent, with N
+    in encoding order."""
     spec, n = C.spec, C.n
     _check_search_space(spec, n, brute_cap)
     for ent in _square_zero_entries(spec, n):
         N = Mat._raw(spec, n, ent)
         P = C - N
         if is_potent(P):
-            return Witness(
-                potent=P,
-                nilpotent=N,
-                exponent=potency_exponent(P),
-                commuting=(P * N == N * P),
-                source="brute",
-            )
+            yield P, N
+
+
+def brute_decompose(C, brute_cap=DEFAULT_BRUTE_CAP):
+    """First witness C = P + N with N^2 = 0 and P potent, scanning N over
+    all square-zero matrices in encoding order; None when no N works."""
+    for P, N in _potent_splits(C, brute_cap):
+        return Witness(
+            potent=P,
+            nilpotent=N,
+            exponent=potency_exponent(P),
+            commuting=(P * N == N * P),
+            source="brute",
+        )
     return None
 
 
 def count_decompositions(C, brute_cap=DEFAULT_BRUTE_CAP):
     """Exhaustive witness counts for one matrix: how many square-zero N
     give a potent C - N, and how many of those pairs commute."""
-    spec, n = C.spec, C.n
-    _check_search_space(spec, n, brute_cap)
     total = 0
     commuting = 0
-    for ent in _square_zero_entries(spec, n):
-        N = Mat._raw(spec, n, ent)
-        P = C - N
-        if is_potent(P):
-            total += 1
-            if P * N == N * P:
-                commuting += 1
+    for P, N in _potent_splits(C, brute_cap):
+        total += 1
+        if P * N == N * P:
+            commuting += 1
     return {"total": total, "commuting": commuting}
 
 

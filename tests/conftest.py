@@ -6,18 +6,21 @@ polynomial entries, min_poly_scan finds the minimal polynomial by
 enumerating monic candidates in encoding order, square_zero_oracle
 filters all q^(n^2) matrices for N^2 = 0, and exp_log_chain builds the
 exp/log tables by one generic multiplication per entry.
+potency_exponent_by_factoring takes the exponent from the trial-division
+factorization instead of the distinct-degree parts.
 """
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
 
 from weakper import companion
-from weakper.gf import build_field
-from weakper.mat import Mat
-from weakper.poly import Poly
+from weakper.gf import build_field, prime_factors
+from weakper.mat import Mat, min_poly
+from weakper.poly import Poly, factor, is_squarefree, pow_mod
 
 SEED = 1729
 
@@ -105,6 +108,33 @@ def min_poly_scan(M):
             if poly_at_matrix(f, M) == zero:
                 return f
     raise AssertionError("Cayley-Hamilton guarantees an annihilator")
+
+
+def _irreducible_root_order(g):
+    """Multiplicative order of the roots of an irreducible g != X: the
+    order of X in GF(q)[X]/(g), a divisor of q^deg(g) - 1."""
+    spec = g.spec
+    t = spec.order ** g.degree - 1
+    x = Poly.x(spec)
+    one = Poly.one(spec)
+    for r in prime_factors(t):
+        while t % r == 0 and pow_mod(x, t // r, g) == one:
+            t //= r
+    return t
+
+
+def potency_exponent_by_factoring(M):
+    """1 + lcm of the root orders of the irreducible factors other than X
+    of a squarefree min_poly(M), one factor at a time; None when min_poly
+    is not squarefree."""
+    mp = min_poly(M)
+    if not is_squarefree(mp):
+        return None
+    k = 1
+    for g, _ in factor(mp):
+        if g != Poly.x(M.spec):
+            k = math.lcm(k, _irreducible_root_order(g))
+    return k + 1
 
 
 @functools.lru_cache(maxsize=16)

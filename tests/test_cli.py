@@ -9,6 +9,7 @@ import pytest
 
 from weakper import companion, gf, rosets
 from weakper.cli import run
+from weakper.mat import Mat
 
 
 def invoke(capsys, *argv):
@@ -152,6 +153,20 @@ class TestDecomposeCommand:
                               "--poly", "0," * 13 + "1",
                               "--mode", "commuting")
         assert (code, json.loads(out)["status"]) == (1, "not_decomposable")
+
+    def test_commuting_degree_13_potent_part_of_degree_13(self, capsys):
+        # min_poly(P) has degree 13, past the trial-division cap of factor
+        code, out, _ = invoke(capsys, "decompose", "--field", "2",
+                              "--poly", "1,1,1,0,0,1,0,0,1,1,0,0,0,1",
+                              "--mode", "commuting")
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        P = Mat.from_rows(gf.build_field(2, 1), witness["P"])
+        t = witness["potency_exponent"]
+        assert t == 8192
+        assert P ** t == P
+        for r in gf.prime_factors(t - 1):
+            assert P ** ((t - 1) // r + 1) != P
 
     def test_witness_count_flag(self, capsys):
         code, out, _ = invoke(capsys, "decompose", "--field", "2",
@@ -310,6 +325,21 @@ class TestCache:
         assert (code_a, code_b) == (0, 0)
         assert out_a == out_b
         assert len(list(cache.iterdir())) == 1
+
+    def test_brute_cap_keys_only_brute_entries(self, capsys, tmp_path):
+        # only brute mode reads --brute-cap
+        for mode, entries in (("commuting", 1), ("brute", 2)):
+            cache = tmp_path / mode
+            outs = set()
+            for cap in ("100", "200"):
+                code, out, _ = invoke(capsys, "verify", "--field", "2",
+                                      "--n", "2", "--mode", mode,
+                                      "--brute-cap", cap,
+                                      "--cache", str(cache))
+                assert code == 0
+                outs.add(out)
+            assert len(outs) == 1
+            assert len(list(cache.iterdir())) == entries
 
     def test_cached_bytes_are_served(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -1,5 +1,6 @@
 """Differential checks against sympy over prime fields: characteristic
-polynomials, factorisations, squarefreeness and irreducibility."""
+polynomials, factorisations, distinct-degree parts, squarefreeness and
+irreducibility."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from weakper.gf import build_field  # noqa: E402
 from weakper.mat import Mat, char_poly  # noqa: E402
 from weakper.poly import (  # noqa: E402
     Poly,
+    distinct_degree_parts,
     factor,
     is_irreducible,
     is_squarefree,
@@ -72,6 +74,23 @@ def test_factor_matches_sympy(p, seeded_rng):
     for f in _samples(seeded_rng, spec):
         ours = [(g.coeffs, mult) for g, mult in factor(f)]
         assert ours == _sympy_factors(f), f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_distinct_degree_parts_match_sympy(p, seeded_rng):
+    spec = build_field(p, 1)
+    for f in _samples(seeded_rng, spec):
+        expected = {}
+        for coeffs, _ in _sympy_factors(f):
+            d = len(coeffs) - 1
+            expected[d] = expected.get(d, Poly.one(spec)) * Poly(spec, coeffs)
+        parts = list(distinct_degree_parts(f))
+        assert {d: h for d, h in parts if h.degree > 0} == expected, f
+        # one part per degree from 1 on, empty ones included, and the
+        # irreducible rest last, possibly past a gap
+        degrees = [d for d, _ in parts]
+        assert degrees[:-1] == list(range(1, len(parts))), f
+        assert degrees[-1] >= len(parts), f
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -56,7 +56,7 @@ def test_prime_factors():
         (3, 2, (1, 0, 1)),
         (2, 4, (1, 0, 0, 1, 1)),
         (5, 2, (1, 1, 1)),
-        # past FACTOR_DEGREE_CAP, and the splitting fields rosets builds
+        # higher degrees, among them the splitting fields rosets builds
         (2, 6, (1, 0, 0, 0, 0, 1, 1)),
         (3, 4, (1, 0, 1, 1, 1)),
         (3, 6, (1, 0, 0, 0, 1, 1, 1)),

@@ -1,5 +1,7 @@
 """Dense matrix arithmetic, invariants, and potency predicates."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +32,13 @@ from weakper.mat import (
 from weakper.poly import Poly
 from weakper.companion import companion_of
 
-from conftest import char_poly_laplace, min_poly_scan, poly_at_matrix, random_matrix
+from conftest import (
+    char_poly_laplace,
+    min_poly_scan,
+    poly_at_matrix,
+    potency_exponent_by_factoring,
+    random_matrix,
+)
 
 
 class TestConstruction:
@@ -260,6 +268,36 @@ class TestPotency:
         assert potency_exponent(companion_of(Poly(gf3, (0, 1, 1))).matrix) == 3
         assert potency_exponent(companion_of(Poly(gf5, (0, 3, 1))).matrix) == 5
         assert potency_exponent(companion_of(Poly(gf3, (0, 0, 1))).matrix) is None
+
+    def test_potency_exponent_matches_factoring_oracle(
+            self, gf2, gf3, gf4, gf5, gf7, gf8, gf9, seeded_rng):
+        exponents = set()
+        for spec in (gf2, gf3, gf4, gf5, gf7, gf8, gf9):
+            for n in range(1, 7):
+                for _ in range(8):
+                    m = random_matrix(seeded_rng, spec, n)
+                    expected = potency_exponent_by_factoring(m)
+                    assert potency_exponent(m) == expected, m
+                    exponents.add(expected)
+        # the sample reaches potent and non-potent matrices alike
+        assert None in exponents and len(exponents) > 20
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_potency_exponent_is_least_return(self, p, n):
+        # every M^t = M here has t - 1 <= 8, the largest element order in
+        # GL(3, 2) and GL(2, 3); M^t = M with p not dividing t - 1 makes
+        # min_poly(M), a divisor of X^t - X, squarefree, and a potent M
+        # returns with t - 1 prime to p
+        spec = build_field(p, 1)
+        for entries in itertools.product(range(p), repeat=n * n):
+            m = Mat(spec, n, entries)
+            power = m * m
+            least = 2
+            while power != m and least < 10:
+                power = power * m
+                least += 1
+            expected = least if power == m and (least - 1) % p else None
+            assert potency_exponent(m) == expected, m
 
     def test_potency_exponent_replays(self, gf3, gf4, seeded_rng):
         # whenever an exponent comes back, M**k == M and k >= 2

@@ -1,4 +1,5 @@
-"""Polynomial arithmetic, factoring, and root resolution in extensions."""
+"""Polynomial arithmetic, factoring, distinct-degree parts, and root
+resolution in extensions."""
 
 import itertools
 
@@ -11,9 +12,12 @@ from weakper.errors import (
     InputError,
     ZeroPolynomial,
 )
+from weakper import poly
 from weakper.gf import build_field, embed
+from weakper.mat import char_poly, cycle_permutation_matrix
 from weakper.poly import (
     Poly,
+    distinct_degree_parts,
     factor,
     gcd,
     is_irreducible,
@@ -169,11 +173,17 @@ def test_factor_multiplies_back(f, g):
     assert rebuilt == prod
 
 
-def test_is_irreducible_edges(gf2, gf4):
+def test_is_irreducible_edges(gf2, gf4, gf5):
     # X^2 + X + 1 is irreducible over GF(2) but splits over GF(4)
     assert is_irreducible(Poly(gf2, (1, 1, 1)))
     assert not is_irreducible(Poly(gf4, (1, 1, 1)))
     assert is_irreducible(Poly(gf4, (2, 1, 1)))
+    # X^2 + 1 = (X + 2)(X + 3) over GF(5) is all one part, of degree 1;
+    # the part of a non-monic irreducible is its monic multiple
+    assert list(distinct_degree_parts(Poly(gf5, (1, 0, 1)))) == [
+        (1, Poly(gf5, (1, 0, 1)))]
+    assert not is_irreducible(Poly(gf5, (1, 0, 1)))
+    assert is_irreducible(Poly(gf5, (2, 2, 2)))
     assert not is_irreducible(Poly(gf2, (1,)))
     with pytest.raises(ZeroPolynomial):
         is_irreducible(Poly.zero(gf2))
@@ -194,6 +204,23 @@ def test_roots_count_with_multiplicity(gf3):
     f = Poly(gf3, (0, 1, 2, 1))
     res = roots_in_extensions(f, 1)
     assert res == ((0, gf3), (2, gf3))
+
+
+def test_roots_stop_after_max_degree(gf2, monkeypatch):
+    # X^17 - 1 = (X + 1) times two irreducible octics over GF(2): the roots
+    # up to GF(4) take the Frobenius steps to X^2 and X^4 and no more
+    steps = []
+    frobenius = poly.pow_mod
+
+    def counted(base, e, mod):
+        steps.append(e)
+        return frobenius(base, e, mod)
+
+    monkeypatch.setattr(poly, "pow_mod", counted)
+    chi = char_poly(cycle_permutation_matrix(gf2, 17))
+    assert chi.degree == 17
+    assert roots_in_extensions(chi, 2) == ((1, gf2),)
+    assert len(steps) <= 2
 
 
 @given(small_poly(GF3, 4))
