@@ -8,8 +8,6 @@ CSV carries summaries only, text is a terse human rendering.  Exit codes:
 """
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import os
@@ -18,6 +16,7 @@ import sys
 import tempfile
 
 from .companion import (
+    DEFAULT_ENUM_BOUND,
     companion_of,
     enumerate_companions,
     potent_trace_set,
@@ -50,7 +49,6 @@ from .search import (
     load_report,
     verify_field,
 )
-from .companion import DEFAULT_ENUM_BOUND
 
 DEFAULT_SEED = 1729
 
@@ -60,6 +58,10 @@ def _dumps(payload):
 
 
 def _csv_text(summary):
+    # imported where used: every run pays for a module-level import, and
+    # only --format csv needs this one
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     keys = list(summary)
@@ -206,6 +208,9 @@ def _cmd_decompose(args):
 
 
 def _verify_cache_key(spec, n, mode, enum_cap, brute_cap):
+    # hashlib loads OpenSSL, and only verify --cache needs it
+    import hashlib
+
     # only brute mode reads brute_cap, so only its entries depend on it
     fields = ["verify", spec.descriptor(), str(n), mode, str(enum_cap)]
     if mode == "brute":
@@ -218,9 +223,11 @@ def _cmd_verify(args):
     spec = parse_field(args.field)
     n = _require_n(args)
     cache_dir = _cache_dir(args)
-    key = _verify_cache_key(spec, n, args.mode, args.enum_cap,
-                            args.brute_cap)
-    payload_bytes = _cache_load(cache_dir, key) if cache_dir else None
+    payload_bytes = None
+    if cache_dir:
+        key = _verify_cache_key(spec, n, args.mode, args.enum_cap,
+                                args.brute_cap)
+        payload_bytes = _cache_load(cache_dir, key)
     report = None
     if payload_bytes is not None:
         # an unreadable entry, or one answering another request, is a miss

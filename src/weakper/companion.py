@@ -8,7 +8,7 @@ companion with the prescribed trace therefore decomposes any companion into
 potent + square-zero parts.
 """
 
-import dataclasses
+import collections
 import functools
 import itertools
 
@@ -42,11 +42,9 @@ _POTENT_CACHE_SIZE = 1024
 _TRACE_SET_CACHE_SIZE = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class CompanionForm:
+class CompanionForm(collections.namedtuple("CompanionForm", "poly matrix")):
     """A monic polynomial together with its companion matrix."""
-    poly: Poly
-    matrix: Mat
+    __slots__ = ()
 
     @property
     def n(self):
@@ -150,19 +148,15 @@ def _potent_claims_hold(P, exponent, check_iterative):
     return potency_exponent(P) == exponent and P ** exponent == P
 
 
-@dataclasses.dataclass(frozen=True)
-class Witness:
+class Witness(collections.namedtuple(
+        "Witness", "potent nilpotent exponent commuting source")):
     """A decomposition C = potent + nilpotent with supporting data.
 
-    exponent is the least t > 1 with potent^t = potent; commuting records
-    whether the two parts commute; source is "constructive", "brute" or
-    "brute_commuting".
+    potent and nilpotent are Mats; exponent is the least t > 1 with
+    potent^t = potent; commuting records whether the two parts commute;
+    source is "constructive", "brute" or "brute_commuting".
     """
-    potent: Mat
-    nilpotent: Mat
-    exponent: int
-    commuting: bool
-    source: str
+    __slots__ = ()
 
     def verify(self, companion_matrix, require_commuting=False,
                check_iterative=False):

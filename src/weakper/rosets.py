@@ -14,7 +14,7 @@ Three constructions back the containment lemmas:
   field with (w - a)^m again in the prime field.
 """
 
-import dataclasses
+import collections
 import functools
 import itertools
 import math
@@ -41,12 +41,10 @@ _SPECTRA_CACHE_SIZE = 64
 _UNITY_CACHE_SIZE = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class SRWitness:
+class SRWitness(collections.namedtuple("SRWitness", "value terms")):
     """One way to write a base-field value as a weighted sum of roots of
     unity: terms of (multiplicity, root, home field, root order)."""
-    value: int
-    terms: tuple
+    __slots__ = ()
 
     def weight(self):
         return sum(m for m, _, _, _ in self.terms)
@@ -68,12 +66,11 @@ class SRWitness:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class WeightPattern:
+class WeightPattern(collections.namedtuple("WeightPattern", "m coeffs")):
     """Non-negative integer weights on the powers X^0..X^(m-1), total
-    weight >= 1; applied to a matrix by reducing each weight mod p."""
-    m: int
-    coeffs: tuple  # ((exponent, weight), ...) with positive weights
+    weight >= 1; applied to a matrix by reducing each weight mod p.
+    coeffs is ((exponent, weight), ...) with positive weights."""
+    __slots__ = ()
 
     def weight(self):
         return sum(w for _, w in self.coeffs)
@@ -417,19 +414,12 @@ def _witness_membership(value, witness, m, spec, field_bound):
     return det(Mat.identity(spec, m).scale(value) - applied) == 0
 
 
-@dataclasses.dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(collections.namedtuple("ContainmentReport", (
+        "n field ext_degree m_max trace_violations zero_exempt "
+        "membership_violations skipped divisor_agreement"))):
     """Result of the containment checks between the trace set, the unity
     sum set, and the pattern spectra."""
-    n: int
-    field: str
-    ext_degree: int
-    m_max: int
-    trace_violations: tuple
-    zero_exempt: bool
-    membership_violations: tuple
-    skipped: tuple
-    divisor_agreement: bool
+    __slots__ = ()
 
     @property
     def passed(self):

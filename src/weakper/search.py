@@ -14,7 +14,7 @@ decomposition routes over all q^n companion matrices and emits a
 deterministic report whose witnesses have all been re-verified.
 """
 
-import dataclasses
+import collections
 import functools
 import itertools
 import json
@@ -22,7 +22,6 @@ import math
 
 from .companion import (
     DEFAULT_ENUM_BOUND,
-    CompanionForm,
     Witness,
     companion_of,
     enumerate_companions,
@@ -281,11 +280,11 @@ def decompose(form, mode, brute_cap=DEFAULT_BRUTE_CAP):
     return witness
 
 
-@dataclasses.dataclass(frozen=True)
-class CompanionRecord:
-    form: CompanionForm
-    status: str  # "decomposable" | "not_decomposable"
-    witness: object  # Witness | None
+class CompanionRecord(collections.namedtuple(
+        "CompanionRecord", "form status witness")):
+    """One companion of a report: its CompanionForm, status
+    "decomposable" or "not_decomposable", and its Witness or None."""
+    __slots__ = ()
 
     def serialize(self):
         out = {"g": list(self.form.low_coeffs), "status": self.status}
@@ -294,13 +293,13 @@ class CompanionRecord:
         return out
 
 
-@dataclasses.dataclass(frozen=True)
-class VerifyReport:
-    field: str
-    n: int
-    mode: str
-    records: tuple
-    version: str = TOOL_VERSION
+class VerifyReport(collections.namedtuple(
+        "VerifyReport", "field n mode records version",
+        defaults=(TOOL_VERSION,))):
+    """One route run over every companion of a field: the field
+    descriptor, n, the mode, the CompanionRecords in enumeration order and
+    the tool version."""
+    __slots__ = ()
 
     @property
     def total(self):
@@ -367,13 +366,12 @@ def verify_field(n, spec, mode, enum_bound=DEFAULT_ENUM_BOUND,
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class ConjectureScan:
+class ConjectureScan(collections.namedtuple(
+        "ConjectureScan", "report non_decomposable")):
     """Ground truth for the commuting-decomposition question over one
     field: the full commuting-mode report plus the companions for which
     no commuting decomposition exists."""
-    report: VerifyReport
-    non_decomposable: tuple
+    __slots__ = ()
 
     def serialize(self):
         return {

@@ -1,13 +1,14 @@
 """Command line interface: subcommands, formats, caching, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from weakper import companion, gf, rosets
+from weakper import companion, gf
 from weakper.cli import run
 from weakper.mat import Mat
 
@@ -16,6 +17,11 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "weakper.cli", *argv],
+                          capture_output=True, text=True, check=False)
 
 
 class TestVerifyCommand:
@@ -78,14 +84,12 @@ class TestSetsCommand:
 
 
     def test_report_unchanged_after_cache_clear(self, capsys):
+        # the cold run starts from empty memos in a child process; clearing
+        # them here would leave the session's field fixtures non-canonical
         args = ("sets", "--field", "2^2", "--n", "2", "--m-max", "7")
         warm = invoke(capsys, *args)
-        for memo in (gf._canonical_field, gf._embedding_powers,
-                     rosets._pattern_spectra_cached, rosets._unity_pool,
-                     rosets._unity_sums_cached, companion.potent_trace_set):
-            memo.cache_clear()
-        assert invoke(capsys, *args) == warm
-        assert gf._canonical_field.cache_info().misses > 0
+        cold = cli_process(*args)
+        assert (cold.returncode, cold.stdout, cold.stderr) == warm
 
     def test_companions_enumerated_once(self, capsys):
         companion.potent_trace_set.cache_clear()
@@ -315,6 +319,48 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestStartUp:
+    """Every run is a fresh process, so a module that only some runs need
+    is imported where it is used."""
+    # dataclasses pulls in inspect; hashlib loads OpenSSL
+    PROBE = ("import sys\n"
+             "from weakper.cli import run\n"
+             "code = run(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "heavy = {'dataclasses', 'inspect', 'hashlib', 'csv'}\n"
+             "print(code, *sorted(heavy & set(sys.modules)),"
+             " file=sys.stderr)\n")
+
+    def loaded_after(self, *argv):
+        """Exit code of a fresh run of argv, then the heavy modules it
+        loaded; with no argv, only weakper.cli is imported."""
+        env = {k: v for k, v in os.environ.items() if k != "WEAKPER_CACHE"}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv],
+                              capture_output=True, text=True, check=False,
+                              env=env)
+        return proc.stderr.split()
+
+    def test_import_loads_none_of_the_heavy_modules(self):
+        assert self.loaded_after() == ["0"]
+
+    def test_verify_without_cache_loads_no_hashlib(self):
+        assert self.loaded_after("verify", "--field", "3", "--n", "2") == [
+            "0"]
+
+    def test_cache_and_csv_load_what_they_use(self, tmp_path):
+        assert self.loaded_after("verify", "--field", "3", "--n", "2",
+                                 "--format", "csv",
+                                 "--cache", str(tmp_path)) == [
+            "0", "csv", "hashlib"]
+
+    def test_cache_entry_name_is_pinned(self, capsys, tmp_path):
+        code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "3",
+                            "--mode", "brute", "--cache", str(tmp_path))
+        assert code == 0
+        assert [entry.name for entry in tmp_path.iterdir()] == [
+            "effbca9d8196d5b145fd2bd0bff688b84be1658ae13d9fe1ea27f2c8ac872eb3"
+            ".json"]
+
+
 class TestCache:
     ARGS = ("verify", "--field", "3", "--n", "2", "--mode", "constructive")
 
@@ -413,9 +459,7 @@ class TestCache:
 
 
 def test_module_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "weakper.cli", "field-info", "--field", "7"],
-        capture_output=True, text=True, check=False)
+    proc = cli_process("field-info", "--field", "7")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 7
 

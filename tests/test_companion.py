@@ -1,7 +1,5 @@
 """Companion matrices, trace-matched decompositions, and trace sets."""
 
-import dataclasses
-
 import pytest
 
 from weakper import companion
@@ -130,11 +128,11 @@ class TestTraceMatchedDecomposition:
     def test_tampered_witness_fails(self, gf3):
         form = companion_of(Poly(gf3, (1, 0, 1)))
         w = trace_matched_decomposition(form)
-        bad = dataclasses.replace(w, exponent=w.exponent + 1)
+        bad = w._replace(exponent=w.exponent + 1)
         assert not bad.verify(form.matrix)
-        bad = dataclasses.replace(w, nilpotent=Mat.identity(gf3, 2))
+        bad = w._replace(nilpotent=Mat.identity(gf3, 2))
         assert not bad.verify(form.matrix)
-        bad = dataclasses.replace(w, commuting=not w.commuting)
+        bad = w._replace(commuting=not w.commuting)
         assert not bad.verify(form.matrix)
 
     def test_wrong_matrix_fails(self, gf3):
@@ -166,21 +164,21 @@ class TestPotentPartMemo:
         assert good.verify(form.matrix)
         P, N, C = good.potent, good.nilpotent, form.matrix
         for exponent in (good.exponent + 1, 1):
-            bad = dataclasses.replace(good, exponent=exponent)
+            bad = good._replace(exponent=exponent)
             assert not bad.verify(C)
             assert not bad.verify(C, check_iterative=True)
         # equal to the true exponent, yet not an int: Mat.__pow__ rejects it
-        bad = dataclasses.replace(good, exponent=float(good.exponent))
+        bad = good._replace(exponent=float(good.exponent))
         with pytest.raises(InputError):
             bad.verify(C)
         # same P, N not square-zero: P + N' is the matrix checked against
         not_square_zero = Mat.identity(gf5, 3)
-        bad = dataclasses.replace(good, nilpotent=not_square_zero)
+        bad = good._replace(nilpotent=not_square_zero)
         assert not bad.verify(P + not_square_zero)
         # same P, square-zero N that does not sum to C
         other = companion_of(Poly(gf5, (4, 0, 3, 1))).matrix - P
         assert (other * other).is_zero() and other != N
-        bad = dataclasses.replace(good, nilpotent=other)
+        bad = good._replace(nilpotent=other)
         assert not bad.verify(C)
         assert bad.verify(P + other)
 

@@ -439,3 +439,41 @@ class TestConjectureScan:
         data = conjecture_scan(2, gf2).serialize()
         assert data["non_decomposable"] == []
         assert data["report"]["summary"]["failed"] == 0
+
+
+class TestRecords:
+    """The result records are immutable named tuples."""
+
+    @pytest.fixture(scope="class")
+    def records(self, gf2, gf3):
+        from weakper.rosets import (
+            containment_report, unity_sum_set, weight_patterns)
+        report = verify_field(2, gf3, "constructive")
+        record = report.records[0]
+        return (record.form, record.witness, record, report,
+                conjecture_scan(2, gf2),
+                next(iter(unity_sum_set(2, gf2, 2).values())),
+                weight_patterns(3, 2)[0], containment_report(2, gf2, 2))
+
+    def test_eight_records_are_hashable_and_frozen(self, records):
+        assert [type(r).__name__ for r in records] == [
+            "CompanionForm", "Witness", "CompanionRecord", "VerifyReport",
+            "ConjectureScan", "SRWitness", "WeightPattern",
+            "ContainmentReport"]
+        for record in records:
+            hash(record)
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+            with pytest.raises(AttributeError):
+                record.extra = None
+
+    def test_replaced_witness_still_fails_verification(self, records):
+        form, witness, record, report = records[:4]
+        bad = witness._replace(exponent=witness.exponent + 1)
+        assert witness.verify(form.matrix)
+        assert not bad.verify(form.matrix)
+        tampered = report._replace(records=(
+            record._replace(witness=bad),) + report.records[1:])
+        assert reverify_report(report)
+        assert not reverify_report(tampered)
+        assert tampered.version == report.version == search.TOOL_VERSION
