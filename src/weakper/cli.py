@@ -4,7 +4,8 @@ Subcommands: field-info, decompose, verify, sets, conjecture, lemmas.
 Reports are JSON by default (deterministic: sorted keys, fixed layout);
 CSV carries summaries only, text is a terse human rendering.  Exit codes:
 0 success, 1 a checked lemma or construction failed, 2 invalid input,
-3 a resource bound was exceeded.
+3 a resource bound was exceeded, 141 stdout was closed before the report
+was written.
 """
 
 import argparse
@@ -14,6 +15,7 @@ import os
 import random
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from .companion import (
     DEFAULT_ENUM_BOUND,
@@ -51,10 +53,74 @@ from .search import (
 )
 
 DEFAULT_SEED = 1729
+# stdout was closed before the report was written; the shell reports a
+# process that SIGPIPE killed with the same code
+EXIT_BROKEN_PIPE = 141
 
 
-def _dumps(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_parts(value, newline, out):
+    """Append the JSON text of value to out, laid out as json.dumps(value,
+    indent=2, sort_keys=True) lays it out; newline is a line break plus the
+    current indent.  Only dicts with str keys, lists, tuples, str, int, bool
+    and None are written: anything else raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        # matrix rows, g and companion_coeffs; a bool is no int here
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(
+                map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            # raises TypeError on a key that is not a str
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} into a report")
+
+
+def _indented_json(payload):
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", in one pass.
+    Before Python 3.13, indent turns off json's C encoder, and this takes
+    about half the time of its pure-Python one on a large verify report."""
+    out = []
+    _json_parts(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+if sys.version_info >= (3, 13):
+    # json.dumps has a C encoder for indented output from 3.13 on, and it
+    # beats any Python writer
+    def _dumps(payload):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+else:
+    _dumps = _indented_json
 
 
 def _csv_text(summary):
@@ -522,7 +588,17 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        # flush here, where a closed stdout can still be caught
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: point stdout at os.devnull so that the
+        # interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Command line interface: subcommands, formats, caching, exit codes."""
 
+import enum
+import hashlib
 import json
 import os
 import shutil
@@ -7,9 +9,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakper import companion, gf
-from weakper.cli import run
+from weakper.cli import EXIT_BROKEN_PIPE, _dumps, _indented_json, run
 from weakper.mat import Mat
 
 
@@ -359,6 +362,120 @@ class TestStartUp:
         assert [entry.name for entry in tmp_path.iterdir()] == [
             "effbca9d8196d5b145fd2bd0bff688b84be1658ae13d9fe1ea27f2c8ac872eb3"
             ".json"]
+
+
+def reference_json(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and a lone surrogate
+TRICKY_TEXT = st.text(st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\xe9", "\u20ac",
+     "\U0001f600", "\ud800", "a", "/"]) | st.characters(), max_size=8)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=2 ** 64) | st.integers(max_value=-1)
+                | TRICKY_TEXT)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(TRICKY_TEXT, inner)),
+    max_leaves=15)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+class TestReportWriter:
+    """Reports are laid out as json.dumps(indent=2, sort_keys=True) plus a
+    newline, on every interpreter."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES)
+    def test_writer_matches_json(self, value):
+        assert _indented_json(value) == reference_json(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], {"a": {}}, [1, True, 0, False, None],
+        [True, False], [2 ** 64, -(2 ** 70), 0], {"b": [1, 2], "a": (3,)},
+        "\"\\\x00\u20ac\U0001f600"])
+    def test_writer_matches_json_on_edge_cases(self, value):
+        assert _indented_json(value) == reference_json(value)
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1, 2}, Small.ONE, {1: 2}, [1, 2.0], [Small.ONE],
+        {"a": {3}}, {"a": 1, 2: 3}, b"bytes"])
+    def test_writer_refuses_what_it_cannot_write(self, value):
+        with pytest.raises(TypeError):
+            _indented_json(value)
+
+    def test_dumps_keeps_json_where_it_is_compiled(self):
+        # json.dumps(indent=...) runs in C from Python 3.13 on
+        assert (_dumps is _indented_json) == (sys.version_info < (3, 13))
+
+
+class TestGoldenReports:
+    """Report bytes pinned by sha256, so that any change to their layout or
+    content shows here."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (("field-info", "--field", "2^4"), 0,
+         "ea704278e95fee9a454e9f304c1182cf73d1e860959c26d7ad6a49cb264114f2"),
+        (("decompose", "--field", "2", "--poly", "1,0,1,1,1", "--mode",
+          "brute", "--count-witnesses"), 0,
+         "c645aaa97bedeaa59cf80cf06086cb7111cc2cf03ddae3386cf21fade910eca4"),
+        (("verify", "--field", "3", "--n", "2", "--mode", "constructive"),
+         0,
+         "53ce7d20f912280ca4ff70e12b79fca82486778f1bc332d6bb1e874953e5cb4e"),
+        (("verify", "--field", "2", "--n", "3", "--mode", "brute"), 0,
+         "0eb16ef597c08ae79fb9c75b2d97f7f35b173e0e38cd495914243fd8a6a5a947"),
+        (("verify", "--field", "2", "--n", "3", "--mode", "commuting"), 0,
+         "4c80f45a06764f558e064a565fe911dae1e9566f68dfc32380d284b492ca630d"),
+        (("conjecture", "--field", "2", "--n", "3"), 0,
+         "20bcf5db6eeba3fd159b1971d0b97c516811aaa2c98323a9eaf9275d3fc944d4"),
+        (("sets", "--field", "2", "--n", "2"), 0,
+         "af8cb705b90be7ea11148018a98447c22a1e6face876f233f5a645e22af8df43"),
+    ])
+    def test_stdout(self, capsys, argv, code, digest):
+        got, out, _ = invoke(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_lemmas_out_file(self, capsys, tmp_path):
+        # exit 1: the shift certificate is missing past phi(m) <= 2
+        path = tmp_path / "lemmas.json"
+        code, _, _ = invoke(capsys, "lemmas", "--field", "2", "--n", "2",
+                            "--out", str(path))
+        assert code == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9eaeb5fc60c7a02f7066205da3470dea8b7c91a3819ddbee8ebd6d5ab36ad636")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--field", "3", "--n", "2"),
+        ("lemmas", "--field", "3", "--n", "2", "--m-max", "4"),
+    ])
+    # buffered, a short report first fails at the final flush
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exits_with_its_own_code_and_no_traceback(self, argv,
+                                                      unbuffered):
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        # nobody can read what the child writes
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "weakper.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, check=False,
+                env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == b""
 
 
 class TestCache:
