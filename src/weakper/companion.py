@@ -200,7 +200,12 @@ def trace_matched_decomposition(form):
         potent=P,
         nilpotent=N,
         exponent=exponent,
-        commuting=(P * N == N * P),
+        # C and P are both companions, so N = C - P is zero outside its
+        # last column.  For n >= 2, column n-2 of N.P is P's subdiagonal 1
+        # times N's last column, and column n-2 of P.N is zero: they
+        # commute iff N = 0.  At n = 1, N = 0 always.  Witness.verify
+        # still computes both products.
+        commuting=N.is_zero(),
         source="constructive",
     )
 

@@ -12,8 +12,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakper import companion, gf
-from weakper.cli import EXIT_BROKEN_PIPE, _dumps, _indented_json, run
+from weakper.cli import (
+    EXIT_BROKEN_PIPE,
+    _dumps,
+    _indented_json,
+    _report_payload,
+    run,
+)
+from weakper.companion import Witness, companion_of
 from weakper.mat import Mat
+from weakper.poly import Poly
+from weakper.search import (
+    DEFAULT_BRUTE_CAP,
+    MODES,
+    CompanionRecord,
+    VerifyReport,
+    conjecture_scan,
+    verify_field,
+)
 
 
 def invoke(capsys, *argv):
@@ -414,6 +430,98 @@ class TestReportWriter:
         assert (_dumps is _indented_json) == (sys.version_info < (3, 13))
 
 
+RECORD_FIELDS = ("2", "3", "2^2", "2^3", "3^2", "2^2/1,1,1")
+
+
+def _layout_cases():
+    """Every mode at n = 1..4 with q^n <= 729 over RECORD_FIELDS, less the
+    cells a route refuses outright: constructive needs q >= n + 1, and
+    brute searches at most DEFAULT_BRUTE_CAP candidates."""
+    for field in RECORD_FIELDS:
+        q = gf.parse_field(field).order
+        for n in range(1, 5):
+            if q ** n > 729:
+                break
+            for mode in MODES:
+                if ((mode == "constructive" and q < n + 1)
+                        or (mode == "brute"
+                            and q ** (n * n) > DEFAULT_BRUTE_CAP)):
+                    continue
+                yield field, n, mode
+
+
+def assert_same_text(got, want):
+    # pytest's own diff of two reports this large takes minutes
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ from offset {at}: "
+                    f"{got[max(at - 40, 0):at + 40]!r} != "
+                    f"{want[max(at - 40, 0):at + 40]!r}")
+
+
+class TestRecordLayouts:
+    """verify and conjecture write their records from one per-n layout;
+    report.to_dict() through json is the oracle."""
+
+    @staticmethod
+    def assert_written_as_json(report):
+        want = report.to_dict()
+        got = _indented_json(_report_payload(report))
+        assert_same_text(got, reference_json(want))
+        assert_same_text(got, _dumps(want))
+
+    @pytest.mark.parametrize("field, n, mode", list(_layout_cases()))
+    def test_field_report(self, field, n, mode):
+        self.assert_written_as_json(
+            verify_field(n, gf.parse_field(field), mode))
+
+    @pytest.mark.parametrize("field, mode, failed", [
+        ("2^2", "constructive", 4), ("2^3", "constructive", 8),
+        ("2", "commuting", 2)])
+    def test_reports_with_bare_records(self, field, mode, failed):
+        n = 2 if mode == "constructive" else 3
+        report = verify_field(n, gf.parse_field(field), mode)
+        assert report.failed == failed
+        assert {r.witness is None for r in report.records} == {True, False}
+        self.assert_written_as_json(report)
+
+    def test_both_commuting_verdicts_are_covered(self):
+        report = verify_field(2, gf.parse_field("3"), "constructive")
+        assert {r.witness.commuting for r in report.records} == {True, False}
+        self.assert_written_as_json(report)
+
+    def test_hand_built_records(self):
+        spec = gf.parse_field("3")
+        form = companion_of(Poly(spec, (1, 2, 1)))
+        P = Mat.identity(spec, 2)
+        witness = Witness(potent=P, nilpotent=form.matrix - P,
+                          exponent=2 ** 70 + 1, commuting=False,
+                          source="hand \"built\"\n\u20ac%s%d")
+        records = (CompanionRecord(form, "decomposable", witness),
+                   CompanionRecord(form, "not_decomposable", None))
+        for kept in ((), records[:1], records[1:], records):
+            self.assert_written_as_json(VerifyReport(
+                field="3^1/0,1", n=2, mode="constructive", records=kept))
+
+    @pytest.mark.parametrize("field, n, mode", [
+        ("2^3", 2, "constructive"), ("2", 1, "brute"),
+        ("3^2/1,0,1", 2, "commuting")])
+    def test_verify_command(self, capsys, field, n, mode):
+        _, out, _ = invoke(capsys, "verify", "--field", field, "--n", str(n),
+                           "--mode", mode)
+        assert_same_text(out, reference_json(
+            verify_field(n, gf.parse_field(field), mode).to_dict()))
+
+    @pytest.mark.parametrize("field, n", [
+        ("2", 1), ("2", 3), ("2^2", 2), ("3", 3)])
+    def test_conjecture_nests_records_at_depth_two(self, capsys, field, n):
+        _, out, _ = invoke(capsys, "conjecture", "--field", field,
+                           "--n", str(n))
+        scan = conjecture_scan(n, gf.parse_field(field))
+        assert_same_text(out, reference_json(scan.serialize()))
+
+
 class TestGoldenReports:
     """Report bytes pinned by sha256, so that any change to their layout or
     content shows here."""
@@ -435,6 +543,16 @@ class TestGoldenReports:
          "20bcf5db6eeba3fd159b1971d0b97c516811aaa2c98323a9eaf9275d3fc944d4"),
         (("sets", "--field", "2", "--n", "2"), 0,
          "af8cb705b90be7ea11148018a98447c22a1e6face876f233f5a645e22af8df43"),
+        # the largest record layout, failed records, the n = 1 layout and
+        # records nested at depth two
+        (("verify", "--field", "3^2", "--n", "3"), 0,
+         "062fb3da5b789fb1d4d84c14c0d6944a7d728d784d187597b21dd615086f4ba1"),
+        (("verify", "--field", "2^2", "--n", "2"), 1,
+         "58df82aabd48a373ef6b4d595df1679686f5441c606ef59196ed94ec35a6836b"),
+        (("verify", "--field", "2", "--n", "1", "--mode", "brute"), 0,
+         "8adfcc216760f0763932ba357fa6f9f41c7dc31548923b19fabfc2a745209130"),
+        (("conjecture", "--field", "2^2", "--n", "3"), 0,
+         "9a3600a4394953216de641f1c8da1306a05ce2b9e1ea67dfaed7fbdfb121ed5b"),
     ])
     def test_stdout(self, capsys, argv, code, digest):
         got, out, _ = invoke(capsys, *argv)
@@ -476,6 +594,24 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == EXIT_BROKEN_PIPE == 141
         assert proc.stderr == b""
+
+    def test_lemmas_out_file_is_written_first(self, tmp_path):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        path = tmp_path / "lemmas.json"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "weakper.cli", "lemmas", "--field",
+                 "2", "--n", "2", "--out", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, check=False,
+                env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == b""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9eaeb5fc60c7a02f7066205da3470dea8b7c91a3819ddbee8ebd6d5ab36ad636")
 
 
 class TestCache:

@@ -135,6 +135,30 @@ class TestTraceMatchedDecomposition:
         bad = w._replace(commuting=not w.commuting)
         assert not bad.verify(form.matrix)
 
+    @pytest.mark.parametrize(
+        "field", ["gf2", "gf3", "gf4", "gf5", "gf7", "gf8", "gf9"])
+    def test_commuting_flag_is_the_products_verdict(self, request, field,
+                                                    mat_product_budget):
+        spec = request.getfixturevalue(field)
+        forms = []
+        for n in range(1, 5):
+            if spec.order ** n > 729:
+                break
+            for form in enumerate_companions(n, spec):
+                try:
+                    w = trace_matched_decomposition(form)
+                except (FieldTooSmall, TraceNotRealizable):
+                    continue
+                P, N = w.potent, w.nilpotent
+                assert w.commuting == (P * N == N * P)
+                forms.append(form)
+        assert forms
+        # the potent parts are memoised by now, so no product is left
+        used = mat_product_budget(0)
+        for form in forms:
+            trace_matched_decomposition(form)
+        assert used == [0]
+
     def test_wrong_matrix_fails(self, gf3):
         w = trace_matched_decomposition(companion_of(Poly(gf3, (1, 0, 1))))
         other = companion_of(Poly(gf3, (2, 0, 1))).matrix
