@@ -22,9 +22,10 @@ from .errors import (
 )
 from .mat import (
     Mat,
-    is_potent,
-    is_potent_iterative,
+    is_potent_at,
     is_square_zero,
+    min_poly,
+    min_poly_exponent,
     potency_exponent,
 )
 from .poly import Poly, is_squarefree
@@ -134,18 +135,20 @@ def _potent_part(t, n, spec):
 
 
 @functools.lru_cache(maxsize=_POTENT_CACHE_SIZE, typed=True)
-def _potent_claims_hold(P, exponent, check_iterative):
-    """The claims of a witness that depend on its potent part alone.
+def _potent_claims_hold(P, exponent):
+    """The claims of a witness that depend on its potent part alone: P is
+    potent and exponent is its potency exponent.  Two routes check them.
+    The min-poly route requires min_poly(P) squarefree with exponent as its
+    memoised exponent; the exponent route requires P^exponent = P with p
+    not dividing exponent - 1, which proves P potent on its own.
 
-    Each is a pure function of (P, exponent), and Mat equality includes the
-    field, so a cached answer is the answer a fresh check would give.  The
-    key is typed because an exponent of 2.0 equals 2 yet fails Mat.__pow__.
+    Each claim is a pure function of (P, exponent), and Mat equality
+    includes the field, so a cached answer is the answer a fresh check
+    would give.  The key is typed because an exponent of 2.0 equals 2 yet
+    fails Mat.__pow__.
     """
-    if not is_potent(P):
-        return False
-    if check_iterative and not is_potent_iterative(P):
-        return False
-    return potency_exponent(P) == exponent and P ** exponent == P
+    return (min_poly_exponent(min_poly(P)) == exponent
+            and is_potent_at(P, exponent))
 
 
 class Witness(collections.namedtuple(
@@ -158,8 +161,7 @@ class Witness(collections.namedtuple(
     """
     __slots__ = ()
 
-    def verify(self, companion_matrix, require_commuting=False,
-               check_iterative=False):
+    def verify(self, companion_matrix, require_commuting=False):
         """Re-check every claim this witness makes.  The claims about the
         potent part alone are checked once per (P, exponent) and memoised;
         the rest are checked on every call."""
@@ -168,7 +170,7 @@ class Witness(collections.namedtuple(
             return False
         if not is_square_zero(N):
             return False
-        if not _potent_claims_hold(P, self.exponent, check_iterative):
+        if not _potent_claims_hold(P, self.exponent):
             return False
         if (P * N == N * P) != self.commuting:
             return False

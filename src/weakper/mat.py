@@ -6,10 +6,16 @@ A matrix M counts as potent when its minimal polynomial is squarefree.
 That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
 than the ring-theoretic reading "M^(k+1) = M for some k >= 1": over GF(2)
 the swap matrix has M^3 = M, yet its minimal polynomial (X + 1)^2 is not
-squarefree, so it is not potent here.  Two routes test the squarefree
-reading so they can be checked against each other.
+squarefree, so it is not potent here.  Three routes test the squarefree
+reading.  The min-poly route (is_potent, potency_exponent) reads it and
+the exponent off min_poly(M), each memoised per minimal polynomial.
+The exponent route (is_potent_at) proves it from M^t = M with p not
+dividing t - 1; Witness.verify runs both.  The universal route
+(is_potent_iterative) powers M to k + 1 and is kept to cross-check the
+min-poly route.
 """
 
+import functools
 import math
 
 from .errors import (
@@ -24,6 +30,10 @@ from .gf import prime_factors
 from .poly import Poly, distinct_degree_parts, is_squarefree, pow_mod
 
 EXPONENT_CAP = 1 << 63
+# bound of the two potency memos, one entry per minimal polynomial.  A
+# brute scan over n x n matrices meets at most q + q^2 + ... + q^n of them,
+# 84 for GF(4) n=3; a commuting run meets one squarefree part per companion.
+_POTENCY_CACHE_SIZE = 4096
 
 
 class Mat:
@@ -158,12 +168,20 @@ class Mat:
         if not isinstance(k, int) or k < 0:
             raise InputError(
                 f"matrix exponent must be a non-negative integer, got {k!r}")
-        result = Mat.identity(self.spec, self.n)
+        if not k:
+            return Mat.identity(self.spec, self.n)
+        # square up to the lowest set bit, then multiply in the higher
+        # ones; no product with the identity, no squaring past the top bit
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 
@@ -298,7 +316,7 @@ def min_poly(M):
             vec = [mul(scale, val) for val in vec]
             combo = [mul(scale, val) for val in combo]
         basis.append((vec, pivot, combo))
-        acc = acc * M
+        acc = acc * M if k else M
         k += 1
 
 
@@ -321,7 +339,7 @@ def universal_potency_exponent(n, spec):
 def is_potent(M):
     """True when the minimal polynomial of M is squarefree (see the module
     docstring for how this differs from M^(k+1) = M for some k >= 1)."""
-    return is_squarefree(min_poly(M))
+    return _squarefree(min_poly(M))
 
 
 def is_potent_iterative(M):
@@ -331,6 +349,16 @@ def is_potent_iterative(M):
     independent route."""
     k = universal_potency_exponent(M.n, M.spec)
     return M ** (k + 1) == M
+
+
+def is_potent_at(M, t):
+    """True when t >= 2, p does not divide t - 1 and M^t = M, which proves
+    M potent: min_poly(M) then divides X^t - X = X (X^(t-1) - 1),
+    and X^(t-1) - 1 is squarefree because its derivative (t - 1) X^(t-2)
+    is nonzero and prime to it.  False says only that t is not such an
+    exponent of M; potency_exponent(M) always is one, since t - 1 is then
+    an lcm of divisors of numbers q^d - 1."""
+    return t >= 2 and (t - 1) % M.spec.p != 0 and M ** t == M
 
 
 def is_square_zero(M):
@@ -354,18 +382,26 @@ def _root_order(h, d):
     return t
 
 
-def potency_exponent(M):
-    """The least t > 1 with M^t = M, or None when M is not potent.
+# squarefreeness of a minimal polynomial, memoised apart from its exponent:
+# is_potent reads only this, and the exponent costs several times more
+_squarefree = functools.lru_cache(maxsize=_POTENCY_CACHE_SIZE)(is_squarefree)
 
-    For a potent M this is 1 + lcm of the orders of the roots of the
-    minimal polynomial other than 0, taken one distinct-degree part at a
-    time; the empty lcm is 1, so M = 0 gets exponent 2.
+
+@functools.lru_cache(maxsize=_POTENCY_CACHE_SIZE)
+def min_poly_exponent(mp):
+    """The potency exponent of every matrix with minimal polynomial mp:
+    None when mp is not squarefree, else 1 + the lcm of the orders of its
+    roots other than 0, taken one distinct-degree part at a time.  The
+    empty lcm is 1, so mp = X gets 2.
+
+    Both facts are pure in mp, and Poly equality includes the field, so
+    they are memoised.  ExponentOverflow propagates, and lru_cache stores
+    nothing for a call that raises.
     """
-    mp = min_poly(M)
-    if not is_squarefree(mp):
+    if not _squarefree(mp):
         return None
     if mp.coeffs[0] == 0:
-        mp = mp // Poly.x(M.spec)  # squarefree, so X divides it once
+        mp = mp // Poly.x(mp.spec)  # squarefree, so X divides it once
     k = 1
     for d, h in distinct_degree_parts(mp):
         if h.degree > 0:
@@ -374,6 +410,12 @@ def potency_exponent(M):
                 raise ExponentOverflow(
                     "potency exponent exceeds the cap 2^63")
     return k + 1
+
+
+def potency_exponent(M):
+    """The least t > 1 with M^t = M, or None when M is not potent; see
+    min_poly_exponent."""
+    return min_poly_exponent(min_poly(M))
 
 
 def linear_combination(vectors, target, spec):

@@ -205,7 +205,8 @@ def brute_commuting_decompose(C):
             break
         orbit.append(B)
     P = orbit[-n % len(orbit)]
-    if len(orbit) > bound or not is_potent(P):
+    exponent = potency_exponent(P) if len(orbit) <= bound else None
+    if exponent is None:
         raise WeakperError("C^(q^n) is not semisimple, or s is not potent")
     N = C - P
     if not is_square_zero(N):
@@ -213,7 +214,7 @@ def brute_commuting_decompose(C):
     return Witness(
         potent=P,
         nilpotent=N,
-        exponent=potency_exponent(P),
+        exponent=exponent,
         commuting=True,
         source="brute_commuting",
     )
@@ -258,10 +259,11 @@ def fixed_point_certificate(C, P):
 def decompose(form, mode, brute_cap=DEFAULT_BRUTE_CAP):
     """Split one companion matrix by the route mode names.
 
-    Returns a witness re-verified by both potency routes (and for
-    commutation in commuting mode), or None when the route finds no split;
-    a witness that fails re-verification raises instead.  The constructive
-    route's TraceNotRealizable propagates.
+    Returns a witness re-verified by Witness.verify (potency by the
+    min-poly and the exponent route, and commutation in commuting mode),
+    or None when the route finds no split; a witness that fails
+    re-verification raises instead.  The constructive route's
+    TraceNotRealizable propagates.
     """
     if mode == "constructive":
         witness = trace_matched_decomposition(form)
@@ -272,8 +274,7 @@ def decompose(form, mode, brute_cap=DEFAULT_BRUTE_CAP):
     else:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     if witness is not None and not witness.verify(
-            form.matrix, require_commuting=(mode == "commuting"),
-            check_iterative=True):
+            form.matrix, require_commuting=(mode == "commuting")):
         raise WeakperError(
             f"witness for {list(form.low_coeffs)} failed "
             f"re-verification in mode {mode}")
@@ -348,9 +349,10 @@ def verify_field(n, spec, mode, enum_bound=DEFAULT_ENUM_BOUND,
                  brute_cap=DEFAULT_BRUTE_CAP):
     """Run one decomposition route over every companion matrix.
 
-    Every witness is re-verified (both potency routes, square-zero, sum,
-    exponent, and commutation when the mode demands it) before being
-    recorded; a re-verification failure raises instead of mis-reporting.
+    Every witness is re-verified (potency by the min-poly and the exponent
+    route, square-zero, sum, exponent, and commutation when the mode
+    demands it) before being recorded; a re-verification failure raises
+    instead of mis-reporting.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")

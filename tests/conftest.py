@@ -194,10 +194,11 @@ def seeded_rng():
 
 
 @pytest.fixture
-def iterative_route_rejects(monkeypatch):
-    """The iterative potency route rejects every matrix for one test; the
-    potent-claims memo is cleared around it so no verdict leaks."""
-    monkeypatch.setattr(companion, "is_potent_iterative", lambda M: False)
+def exponent_route_rejects(monkeypatch):
+    """The exponent potency route (P^t = P with p not dividing t - 1)
+    rejects every witness for one test; the potent-claims memo is cleared
+    around it so no verdict leaks."""
+    monkeypatch.setattr(companion, "is_potent_at", lambda M, t: False)
     companion._potent_claims_hold.cache_clear()
     yield
     companion._potent_claims_hold.cache_clear()

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakper import companion, gf
+from weakper import companion, gf, mat
 from weakper.cli import (
     EXIT_BROKEN_PIPE,
     _dumps,
@@ -20,8 +20,9 @@ from weakper.cli import (
     run,
 )
 from weakper.companion import Witness, companion_of
-from weakper.mat import Mat
-from weakper.poly import Poly
+from weakper.errors import ExponentOverflow
+from weakper.mat import Mat, universal_potency_exponent
+from weakper.poly import Poly, parse_poly
 from weakper.search import (
     DEFAULT_BRUTE_CAP,
     MODES,
@@ -41,6 +42,16 @@ def invoke(capsys, *argv):
 def cli_process(*argv):
     return subprocess.run([sys.executable, "-m", "weakper.cli", *argv],
                           capture_output=True, text=True, check=False)
+
+
+# every memo a potency verdict passes through
+POTENCY_MEMOS = (mat._squarefree, mat.min_poly_exponent,
+                 companion._potent_part, companion._potent_claims_hold)
+
+
+def clear_potency_memos():
+    for memo in POTENCY_MEMOS:
+        memo.cache_clear()
 
 
 class TestVerifyCommand:
@@ -154,11 +165,37 @@ class TestDecomposeCommand:
         assert json.loads(out)["status"] == "decomposable"
 
     def test_witness_reverified_by_the_iterative_route(
-            self, capsys, iterative_route_rejects):
+            self, capsys, exponent_route_rejects):
+        # the power route now iterates to the witness's own exponent
         code, _, err = invoke(capsys, "decompose", "--field", "5",
                               "--poly", "1,3,1", "--mode", "brute")
         assert code == 1
         assert "failed re-verification" in err
+
+    @pytest.mark.parametrize("field, poly, mode, exponent", [
+        ("11", "1,2,3,4,0,1,2,3,4,1", "constructive", 11),
+        ("2", "1,1,0,0,0,0,0,0,0,0,0,0,0,1,1", "commuting", 14),
+    ])
+    def test_past_the_universal_exponent_wall(self, capsys, field, poly,
+                                              mode, exponent):
+        # lcm(q^d - 1 : d <= n) passes 2^63 here, the witness's own
+        # exponent does not, and re-verification needs only the latter
+        code, out, _ = invoke(capsys, "decompose", "--field", field,
+                              "--poly", poly, "--mode", mode)
+        assert code == 0
+        data = json.loads(out)["witness"]
+        spec = gf.parse_field(field)
+        with pytest.raises(ExponentOverflow):
+            universal_potency_exponent(data["n"], spec)
+        assert data["potency_exponent"] == exponent
+        witness = Witness(potent=Mat.from_rows(spec, data["P"]),
+                          nilpotent=Mat.from_rows(spec, data["N"]),
+                          exponent=data["potency_exponent"],
+                          commuting=data["commuting"],
+                          source=data["source"])
+        clear_potency_memos()
+        assert witness.verify(companion_of(parse_poly(spec, poly)).matrix,
+                              require_commuting=(mode == "commuting"))
 
     def test_commuting_degree_13_is_prompt(self, capsys,
                                            mat_product_budget):
@@ -201,6 +238,29 @@ class TestDecomposeCommand:
         _, plain, _ = invoke(capsys, "decompose", "--field", "2",
                              "--poly", "1,1,1", "--mode", "brute")
         assert "witness_counts" not in json.loads(plain)
+
+
+class TestPotencyMemos:
+    @pytest.mark.parametrize("args", [
+        ("verify", "--field", "2^2", "--n", "3", "--mode", "brute"),
+        ("conjecture", "--field", "2", "--n", "6"),
+    ])
+    def test_cold_run_equals_warm_rerun(self, capsys, args):
+        clear_potency_memos()
+        cold = invoke(capsys, *args)
+        hits = mat.min_poly_exponent.cache_info().hits
+        warm = invoke(capsys, *args)
+        assert cold[0] == 0 and warm == cold
+        assert mat.min_poly_exponent.cache_info().hits > hits
+
+    def test_brute_verify_product_budget(self, capsys, mat_product_budget):
+        # a cold GF(4) n=3 brute run: 2,944 products when every route
+        # re-derived potency and powered P to the universal exponent
+        clear_potency_memos()
+        mat_product_budget(1500)
+        code, _, _ = invoke(capsys, "verify", "--field", "2^2", "--n", "3",
+                            "--mode", "brute")
+        assert code == 0
 
 
 class TestFieldInfoCommand:

@@ -112,7 +112,6 @@ class TestTraceMatchedDecomposition:
             w = trace_matched_decomposition(form)
             assert w.source == "constructive"
             assert w.verify(form.matrix)
-            assert w.verify(form.matrix, check_iterative=True)
 
     def test_every_companion_splits_gf5(self, gf5):
         for form in enumerate_companions(2, gf5):
@@ -184,13 +183,11 @@ class TestPotentPartMemo:
     def test_cached_potent_claims_do_not_carry_over(self, gf5):
         form = companion_of(Poly(gf5, (1, 2, 3, 1)))
         good = trace_matched_decomposition(form)
-        assert good.verify(form.matrix, check_iterative=True)
         assert good.verify(form.matrix)
         P, N, C = good.potent, good.nilpotent, form.matrix
         for exponent in (good.exponent + 1, 1):
             bad = good._replace(exponent=exponent)
             assert not bad.verify(C)
-            assert not bad.verify(C, check_iterative=True)
         # equal to the true exponent, yet not an int: Mat.__pow__ rejects it
         bad = good._replace(exponent=float(good.exponent))
         with pytest.raises(InputError):
@@ -230,6 +227,41 @@ class TestPotentPartMemo:
         assert verify_field(n, spec, "constructive").to_json_bytes() == cold
         assert all(memo.cache_info().hits > before
                    for memo, before in zip(self.MEMOS, hits))
+
+
+@pytest.fixture
+def fresh_potent_claims():
+    """Empty the potent-claims memo around a test that patches a route."""
+    companion._potent_claims_hold.cache_clear()
+    yield
+    companion._potent_claims_hold.cache_clear()
+
+
+class TestExponentRoute:
+    """Witness.verify's second route: P^t = P with p not dividing t - 1."""
+
+    def test_rejects_a_power_the_min_poly_route_lets_through(
+            self, gf2, monkeypatch, fresh_potent_claims):
+        # the GF(2) swap matrix S has S^3 = S, and 2 divides 3 - 1.  With
+        # the min-poly route patched to call S potent with exponent 3, the
+        # sum, square-zero, commuting and power checks all hold, so only
+        # p not dividing t - 1 is left to reject it
+        swap = companion_of(Poly(gf2, (1, 0, 1))).matrix
+        assert swap.rows() == ((0, 1), (1, 0)) and swap ** 3 == swap
+        monkeypatch.setattr(companion, "min_poly_exponent", lambda mp: 3)
+        w = Witness(potent=swap, nilpotent=Mat.zeros(gf2, 2), exponent=3,
+                    commuting=True, source="brute")
+        assert not w.verify(swap)
+
+    def test_rejects_a_wrong_exponent_that_returns(self, gf5):
+        # t' = 2t - 1 also gives P^t' = P with p not dividing t' - 1, but
+        # it is not the least exponent, which the min-poly route requires
+        form = companion_of(Poly(gf5, (1, 2, 3, 1)))
+        good = trace_matched_decomposition(form)
+        wrong = 2 * good.exponent - 1
+        assert good.potent ** wrong == good.potent and (wrong - 1) % 5
+        assert good.verify(form.matrix)
+        assert not good._replace(exponent=wrong).verify(form.matrix)
 
 
 class TestPotentTraceSet:

@@ -15,6 +15,7 @@ from weakper.errors import (
     MinPolyNotFound,
     WeakperError,
 )
+from weakper import mat
 from weakper.gf import build_field
 from weakper.mat import (
     Mat,
@@ -22,14 +23,16 @@ from weakper.mat import (
     cycle_permutation_matrix,
     det,
     is_potent,
+    is_potent_at,
     is_potent_iterative,
     is_square_zero,
     linear_combination,
     min_poly,
+    min_poly_exponent,
     potency_exponent,
     universal_potency_exponent,
 )
-from weakper.poly import Poly
+from weakper.poly import Poly, is_irreducible
 from weakper.companion import companion_of
 
 from conftest import (
@@ -116,6 +119,46 @@ class TestArithmetic:
         assert a.trace() == 0
         assert a.transpose().rows() == ((1, 3), (2, 4))
 
+    def test_pow_matches_repeated_products(self, gf4, seeded_rng):
+        for n in (1, 2, 3):
+            m = random_matrix(seeded_rng, gf4, n)
+            power = Mat.identity(gf4, n)
+            for k in range(40):
+                assert m ** k == power, (m, k)
+                power = power * m
+
+
+class TestProductBudgets:
+    """Matrix products counted exactly: machine-independent guards for
+    the kernels every route runs."""
+
+    def test_pow_wastes_no_product(self, gf3, mat_product_budget):
+        m = Mat.from_rows(gf3, [[1, 2], [0, 1]])
+        used = mat_product_budget(100)
+        for k in (0, 1):
+            m ** k
+        assert used == [0]
+        for k in range(1, 7):
+            before = used[0]
+            m ** (2 ** k)
+            assert used[0] - before == k
+        before = used[0]
+        m ** 7
+        assert used[0] - before == 4  # squares m^2, m^4 and two products
+
+    def test_min_poly_takes_at_most_n_minus_one_products(
+            self, gf2, gf3, gf4, seeded_rng, mat_product_budget):
+        used = mat_product_budget(10 ** 6)
+        for spec in (gf2, gf3, gf4):
+            for n in range(1, 6):
+                cases = [Mat.identity(spec, n), Mat.zeros(spec, n)]
+                cases += [random_matrix(seeded_rng, spec, n)
+                          for _ in range(6)]
+                for m in cases:
+                    before = used[0]
+                    degree = min_poly(m).degree
+                    assert used[0] - before == degree - 1 <= n - 1
+
 
 class TestCyclePermutation:
     def test_three_cycle_over_gf2(self, gf2):
@@ -185,12 +228,13 @@ class TestMinPoly:
 
     def test_unreduced_power_raises_internal_error(self, gf3, monkeypatch):
         # a broken product makes I, M, M^2 independent, which Cayley-Hamilton
-        # rules out; the check must raise, not be an assert that -O drops
-        units = iter(Mat._raw(gf3, 2, tuple(int(i == j) for i in range(4)))
-                     for j in (1, 2, 3))
-        monkeypatch.setattr(Mat, "__mul__", lambda self, other: next(units))
+        # rules out; the check must raise, not be an assert that -O drops.
+        # M itself is the first power, so only M^2 comes from a product
+        M, broken = (Mat._raw(gf3, 2, tuple(int(i == j) for i in range(4)))
+                     for j in (1, 2))
+        monkeypatch.setattr(Mat, "__mul__", lambda self, other: broken)
         with pytest.raises(MinPolyNotFound):
-            min_poly(Mat.identity(gf3, 2))
+            min_poly(M)
 
     def test_invariant_error_maps_to_exit_one(self):
         # the CLI maps InputError to 2, LimitError to 3, other errors to 1
@@ -311,11 +355,78 @@ class TestPotency:
                     assert k >= 2
                     assert m ** k == m
 
+    def test_exponent_route_never_accepts_a_non_potent_matrix(self):
+        # potent iff M^t = M for some t >= 2 with p not dividing t - 1;
+        # every M^t = M here has t - 1 <= 8 (see the least-return test)
+        for p, n in ((2, 2), (2, 3), (3, 2)):
+            spec = build_field(p, 1)
+            for entries in itertools.product(range(p), repeat=n * n):
+                m = Mat(spec, n, entries)
+                accepted = [t for t in range(-1, 12) if is_potent_at(m, t)]
+                assert bool(accepted) == is_potent(m), m
+                if accepted:
+                    assert accepted[0] == potency_exponent(m), m
+
+    def test_exponent_route_rejects_a_float_exponent(self, gf3):
+        with pytest.raises(InputError):
+            is_potent_at(Mat.identity(gf3, 2), 2.0)
+
     def test_square_zero(self, gf3):
         assert is_square_zero(Mat.zeros(gf3, 2))
         assert is_square_zero(Mat.from_rows(gf3, [[0, 0], [1, 0]]))
         assert not is_square_zero(Mat.identity(gf3, 2))
         assert not is_square_zero(Mat.from_rows(gf3, [[0, 1], [1, 0]]))
+
+
+class TestPotencyMemo:
+    MEMOS = (mat._squarefree, min_poly_exponent)
+
+    def test_memos_are_bounded(self):
+        for memo in self.MEMOS:
+            assert memo.cache_info().maxsize is not None
+
+    def test_key_includes_the_field(self, gf3, gf5):
+        # X^2 + 2 is (X - 1)(X + 1) over GF(3); over GF(5) it is
+        # irreducible with roots of order 8
+        assert min_poly_exponent(Poly(gf3, (2, 0, 1))) == 3
+        assert min_poly_exponent(Poly(gf5, (2, 0, 1))) == 9
+
+    def test_matrices_sharing_a_min_poly_share_the_entries(self, gf3):
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        a = Mat.from_rows(gf3, [[0, 1], [1, 0]])
+        b = Mat.from_rows(gf3, [[1, 1], [0, 2]])
+        assert min_poly(a) == min_poly(b)
+        assert potency_exponent(a) == potency_exponent(b) == 3
+        assert is_potent(a) and is_potent(b)
+        squarefree, exponent = (memo.cache_info() for memo in self.MEMOS)
+        assert (squarefree.misses, squarefree.hits) == (1, 2)
+        assert (exponent.misses, exponent.hits) == (1, 1)
+
+    def test_is_potent_computes_no_exponent(self, gf5, seeded_rng):
+        # the exponent costs several times the squarefree test, and a
+        # potency verdict never reads it
+        min_poly_exponent.cache_clear()
+        for _ in range(20):
+            is_potent(random_matrix(seeded_rng, gf5, 3))
+        assert min_poly_exponent.cache_info().misses == 0
+
+    def test_overflow_is_raised_and_never_cached(self, gf2):
+        # irreducibles of degree 17, 19 and 31, whose roots have the prime
+        # orders 2^17 - 1, 2^19 - 1 and 2^31 - 1: the lcm passes 2^63
+        def sparse(*exps):
+            return Poly(gf2, [int(i in exps) for i in range(max(exps) + 1)])
+
+        parts = (sparse(17, 3, 0), sparse(19, 5, 2, 1, 0), sparse(31, 3, 0))
+        assert all(is_irreducible(f) for f in parts)
+        assert min_poly_exponent(parts[0] * parts[1]) == (
+            (2 ** 17 - 1) * (2 ** 19 - 1) + 1)
+        mp = parts[0] * parts[1] * parts[2]
+        size = min_poly_exponent.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ExponentOverflow):
+                min_poly_exponent(mp)
+        assert min_poly_exponent.cache_info().currsize == size
 
 
 class TestLinearCombination:

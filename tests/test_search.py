@@ -222,7 +222,8 @@ class TestBruteCommutingDecompose:
     def test_non_potent_power_raises(self, gf5, monkeypatch):
         # the semisimple part is potent for every C; a failure is a broken
         # invariant, not a missing split
-        monkeypatch.setattr(search, "is_potent", lambda M: False)
+        # potency_exponent decides potency there: None means not potent
+        monkeypatch.setattr(search, "potency_exponent", lambda M: None)
         C = companion_of(Poly(gf5, (1, 3, 1))).matrix
         with pytest.raises(WeakperError, match="semisimple"):
             brute_commuting_decompose(C)
@@ -357,9 +358,9 @@ class TestDecompose:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_reverifies_by_the_iterative_route(
-            self, gf5, iterative_route_rejects, mode):
-        # a witness the iterative potency route rejects must not be
-        # returned, whichever route built it
+            self, gf5, exponent_route_rejects, mode):
+        # a witness the power route, P^t = P at its own exponent t, rejects
+        # must not be returned, whichever route built it
         with pytest.raises(WeakperError, match="re-verification"):
             decompose(companion_of(Poly(gf5, (1, 3, 1))), mode)
 
