@@ -45,11 +45,10 @@ from .search import (
     DEFAULT_BRUTE_CAP,
     MODES,
     TOOL_VERSION,
+    cached_summary,
     conjecture_scan,
     count_decompositions,
     decompose,
-    failures_stand,
-    load_report,
     verify_field,
 )
 
@@ -372,27 +371,18 @@ def _cmd_verify(args):
     spec = parse_field(args.field)
     n = _require_n(args)
     cache_dir = _cache_dir(args)
-    payload_bytes = None
+    summary = None
     if cache_dir:
         key = _verify_cache_key(spec, n, args.mode, args.enum_cap,
                                 args.brute_cap)
         payload_bytes = _cache_load(cache_dir, key)
-    report = None
-    if payload_bytes is not None:
-        # an unreadable entry, or one answering another request, is a miss
-        # and gets rewritten; it must not turn every later run into an error
-        try:
-            report = load_report(payload_bytes)
-        except WeakperError:
-            pass
-        else:
-            # so is one with a failed record that splits when run again:
-            # a reloaded entry must not change a verdict
-            if ((report.field, report.n, report.mode)
-                    != (spec.descriptor(), n, args.mode)
-                    or not failures_stand(report, args.brute_cap)):
-                report = None
-    if report is None:
+        if payload_bytes is not None:
+            # an entry that cannot answer this request is a miss and gets
+            # rewritten: it must neither turn every later run into an
+            # error nor change a verdict
+            summary = cached_summary(payload_bytes, spec, n, args.mode,
+                                     args.brute_cap)
+    if summary is None:
         report = verify_field(n, spec, args.mode, args.enum_cap,
                               args.brute_cap)
         # the records' layout comes from _record_layouts on every
@@ -401,20 +391,21 @@ def _cmd_verify(args):
             "utf-8")
         if cache_dir:
             _cache_store(cache_dir, key, payload_bytes)
-    summary = {
-        "field": report.field,
-        "n": report.n,
-        "mode": report.mode,
-        "total": report.total,
-        "decomposable": report.decomposable,
-        "failed": report.failed,
-        "version": report.version,
-    }
-    text = [f"field {report.field} n {report.n} mode {report.mode}",
-            f"total {report.total} decomposable {report.decomposable} "
-            f"failed {report.failed}"]
+        summary = {
+            "field": report.field,
+            "n": report.n,
+            "mode": report.mode,
+            "total": report.total,
+            "decomposable": report.decomposable,
+            "failed": report.failed,
+            "version": report.version,
+        }
+    text = [f"field {summary['field']} n {summary['n']} "
+            f"mode {summary['mode']}",
+            f"total {summary['total']} decomposable "
+            f"{summary['decomposable']} failed {summary['failed']}"]
     _emit(args, payload_bytes, summary, text)
-    if args.mode == "constructive" and report.failed:
+    if args.mode == "constructive" and summary["failed"]:
         return 1
     return 0
 

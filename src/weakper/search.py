@@ -389,33 +389,90 @@ def conjecture_scan(n, spec, enum_bound=DEFAULT_ENUM_BOUND):
     return ConjectureScan(report=report, non_decomposable=missing)
 
 
+def _check_records(records, descriptor, n, q):
+    """The g of each not_decomposable record, once every one of records,
+    decoded from the JSON of a report over the field with this descriptor
+    at dimension n, is well formed; ValueError, KeyError or TypeError when
+    one is not.
+
+    A record is well formed when its status is "not_decomposable" and it
+    has no witness, or "decomposable" and it has one whose P and N are
+    n x n, whose companion_coeffs, field and n are its record's, whose
+    potency_exponent is an int, commuting a bool and source a str; and
+    when g, companion_coeffs and every entry of P and N are ints in
+    [0, q), g of length n.  Whether the records are the q^n companions in
+    order, and whether a witness holds, is left to the caller.
+    """
+    shape = [n] * (2 * n)
+    entries = []
+    put = entries.extend
+    failed = []
+    for rec in records:
+        g = rec["g"]
+        put(g)
+        if "witness" not in rec:
+            if rec["status"] != "not_decomposable" or len(g) != n:
+                raise ValueError(f"record {g!r} is malformed")
+            failed.append(g)
+            continue
+        w = rec["witness"]
+        P, coeffs = w["P"], w["companion_coeffs"]
+        rows = P + w["N"]
+        # a decoded row that is no list is a str or a dict, and neither
+        # yields ints below
+        if (rec["status"] != "decomposable" or len(g) != n or coeffs != g
+                or w["field"] != descriptor
+                or type(w["n"]) is not int or w["n"] != n
+                or type(w["potency_exponent"]) is not int
+                or type(w["commuting"]) is not bool
+                or type(w["source"]) is not str
+                or len(P) != n or list(map(len, rows)) != shape):
+            raise ValueError(f"record {g!r} is malformed")
+        put(coeffs)
+        put(itertools.chain.from_iterable(rows))
+    # every entry in one pass: a bool or a float can equal an int, so the
+    # types are checked first
+    if set(map(type, entries)) - {int}:
+        raise ValueError("a record entry is not an int")
+    if any(not 0 <= v < q for v in set(entries)):
+        raise ValueError(f"a record entry lies outside [0, {q})")
+    return failed
+
+
 def load_report(data):
-    """Rebuild a VerifyReport from its JSON serialization."""
+    """Rebuild a VerifyReport from its JSON serialization; InputError when
+    it is not JSON or a record is not well formed (_check_records).
+    Whether the records are the q^n companions in order, and whether their
+    witnesses hold, is reverify_report's to check."""
     try:
         if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")
         raw = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # json.loads raises RecursionError on arrays nested too deep
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"report is not valid JSON: {exc}") from None
     try:
         spec = parse_field(raw["field"])
         n = raw["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be an int >= 1, got {n!r}")
+        _check_records(raw["records"], spec.descriptor(), n, spec.order)
         records = []
         for rec in raw["records"]:
-            low = tuple(int(c) for c in rec["g"])
-            form = companion_of(Poly(spec, low + (1,)))
+            form = companion_of(Poly._raw(spec, tuple(rec["g"]) + (1,)))
             witness = None
             if "witness" in rec:
                 w = rec["witness"]
                 witness = Witness(
-                    potent=Mat.from_rows(spec, w["P"]),
-                    nilpotent=Mat.from_rows(spec, w["N"]),
-                    exponent=int(w["potency_exponent"]),
-                    commuting=bool(w["commuting"]),
-                    source=str(w["source"]),
+                    potent=Mat._raw(spec, n, tuple(
+                        itertools.chain.from_iterable(w["P"]))),
+                    nilpotent=Mat._raw(spec, n, tuple(
+                        itertools.chain.from_iterable(w["N"]))),
+                    exponent=w["potency_exponent"],
+                    commuting=w["commuting"],
+                    source=w["source"],
                 )
-            records.append(
-                CompanionRecord(form, str(rec["status"]), witness))
+            records.append(CompanionRecord(form, rec["status"], witness))
         report = VerifyReport(
             field=raw["field"],
             n=n,
@@ -426,6 +483,48 @@ def load_report(data):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"report JSON is malformed: {exc}") from None
     return report
+
+
+def cached_summary(data, spec, n, mode, brute_cap=DEFAULT_BRUTE_CAP):
+    """The summary of the stored verify report data (JSON bytes) when it
+    answers the request (spec, n, mode), or None when it does not.
+
+    It answers when its header names that field, n and mode and a str
+    version, its records are well formed (_check_records) and are exactly
+    the q^n companions in enumeration order, its summary counts its
+    records, and each not_decomposable record is reproduced when its
+    companion runs through the mode's route again, as verify_field runs
+    it.  Everything is decided on the decoded JSON: only the companions of
+    not_decomposable records are built, and no witness is re-verified.
+    """
+    descriptor = spec.descriptor()
+    q = spec.order
+    try:
+        raw = json.loads(data.decode("utf-8"))
+        records, version = raw["records"], raw["version"]
+        if (raw["field"] != descriptor or type(raw["n"]) is not int
+                or raw["n"] != n or raw["mode"] != mode
+                or type(version) is not str or len(records) != q ** n):
+            return None
+        failed = _check_records(records, descriptor, n, q)
+        order = [list(low) for low in itertools.product(range(q), repeat=n)]
+        if [rec["g"] for rec in records] != order:
+            return None
+        total = len(records)
+        counts = {"total": total, "decomposable": total - len(failed),
+                  "failed": len(failed)}
+        stored = raw["summary"]
+        if stored != counts or set(map(type, stored.values())) != {int}:
+            return None
+    # json.loads raises RecursionError on arrays nested too deep
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return None
+    for g in failed:
+        form = companion_of(Poly._raw(spec, tuple(g) + (1,)))
+        if _record(form, mode, brute_cap).status != "not_decomposable":
+            return None
+    return {"field": descriptor, "n": n, "mode": mode, **counts,
+            "version": version}
 
 
 def _records_in_order(report):
@@ -456,13 +555,3 @@ def reverify_report(report):
         elif rec.witness is not None:
             return False
     return True
-
-
-def failures_stand(report, brute_cap=DEFAULT_BRUTE_CAP):
-    """True when the records are the q^n companions in enumeration order
-    and every record not marked decomposable is a not_decomposable one
-    that its companion, run through the report's route again as
-    verify_field runs it, reproduces."""
-    return _records_in_order(report) and all(
-        _record(rec.form, report.mode, brute_cap).status == rec.status
-        for rec in report.records if rec.status != "decomposable")

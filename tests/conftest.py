@@ -220,3 +220,72 @@ def mat_product_budget(monkeypatch):
         monkeypatch.setattr(Mat, "__mul__", counted)
         return used
     return install
+
+
+# --- malformed records ------------------------------------------------------
+# Each mutation edits, in place, the decoded JSON of the GF(2) n=3
+# commuting-mode verify report, whose records 0 and 7 are not_decomposable
+# and records 1..6 carry a witness.  Each one leaves a record that is not
+# well formed, so load_report must reject the report and verify --cache must
+# treat the entry as a miss.
+
+def _witness(data):
+    return data["records"][1]["witness"]
+
+
+def _set_p00(value_of):
+    def mutate(data):
+        P = _witness(data)["P"]
+        P[0][0] = value_of(P[0][0])
+    return mutate
+
+
+def _coeff_as_bool(data):
+    # record 1 is g = [0, 0, 1]
+    data["records"][1]["g"][2] = True
+    _witness(data)["companion_coeffs"][2] = True
+
+
+def _shrink_p(data):
+    w = _witness(data)
+    w["P"] = [row[:2] for row in w["P"][:2]]
+
+
+def _move_row_from_n_to_p(data):
+    w = _witness(data)
+    w["P"].append(w["N"].pop())
+
+
+def _witness_on_failed_record(data):
+    bare = data["records"][0]
+    bare["witness"] = dict(_witness(data), companion_coeffs=list(bare["g"]))
+
+
+def _relabel_failed_record(data):
+    data["records"][0]["status"] = "decomposable"
+
+
+def _set_witness_key(key, value):
+    def mutate(data):
+        _witness(data)[key] = value
+    return mutate
+
+
+RECORD_MUTATIONS = {
+    "bool entry": _set_p00(bool),
+    "float entry": _set_p00(float),
+    "str entry": _set_p00(str),
+    "entry equal to q": _set_p00(lambda v: 2),
+    "bool coefficient": _coeff_as_bool,
+    "2x2 P at n=3": _shrink_p,
+    "4x3 P and 2x3 N": _move_row_from_n_to_p,
+    "witness on a not_decomposable record": _witness_on_failed_record,
+    "decomposable record without witness": _relabel_failed_record,
+    "companion_coeffs of another record": _set_witness_key(
+        "companion_coeffs", [0, 1, 0]),
+    "field of another witness": _set_witness_key("field", "3^1/0,1"),
+    "n of another witness": _set_witness_key("n", 2),
+    "float n": _set_witness_key("n", 3.0),
+    "float potency_exponent": _set_witness_key("potency_exponent", 2.0),
+    "str potency_exponent": _set_witness_key("potency_exponent", "2"),
+}

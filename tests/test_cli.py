@@ -1,5 +1,6 @@
 """Command line interface: subcommands, formats, caching, exit codes."""
 
+import collections
 import enum
 import hashlib
 import json
@@ -11,7 +12,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakper import companion, gf, mat
+from conftest import RECORD_MUTATIONS
+from weakper import companion, gf, mat, search
 from weakper.cli import (
     EXIT_BROKEN_PIPE,
     _dumps,
@@ -714,18 +716,20 @@ class TestCache:
         cache = tmp_path / "cache"
         _, cold, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
         entry = next(cache.iterdir())
-        entry.write_bytes(entry.read_bytes()[:len(cold) // 2])
-        code, out, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
-        assert code == 0
-        assert out == cold
-        assert entry.read_text() == cold
+        # cut in half, or nested past the parser's recursion limit
+        for text in (cold[:len(cold) // 2], "[" * 100000 + "]" * 100000):
+            entry.write_text(text)
+            code, out, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
+            assert code == 0
+            assert out == cold
+            assert entry.read_text() == cold
 
     def test_entry_for_another_request_is_recomputed(self, capsys,
                                                      tmp_path):
         cache = tmp_path / "cache"
         _, cold, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
         entry = next(cache.iterdir())
-        for key, value in (("field", "5^1/0,1"), ("n", 3),
+        for key, value in (("field", "5^1/0,1"), ("n", 3), ("n", 2.0),
                            ("mode", "brute")):
             data = json.loads(cold)
             data[key] = value
@@ -761,6 +765,98 @@ class TestCache:
                                       '"version": "0.1.0-cached"'))
         _, out, _ = invoke(capsys, *args)
         assert "0.1.0-cached" in out
+
+    def test_failed_records_relabelled_decomposable_are_recomputed(
+            self, capsys, tmp_path):
+        # GF(4) n=2 has four companions the constructive route cannot split
+        args = ("verify", "--field", "2^2", "--n", "2", "--cache",
+                str(tmp_path), "--format", "text")
+        code, cold, _ = invoke(capsys, *args)
+        assert (code, cold.splitlines()[1]) == (
+            1, "total 16 decomposable 12 failed 4")
+        entry = next(tmp_path.iterdir())
+        stored = entry.read_text()
+        data = json.loads(stored)
+        for rec in data["records"]:
+            if rec["status"] == "not_decomposable":
+                rec["status"] = "decomposable"
+        entry.write_text(json.dumps(data))
+        code, out, _ = invoke(capsys, *args)
+        assert (code, out) == (1, cold)
+        assert entry.read_text() == stored
+
+    @pytest.mark.parametrize("summary", [
+        {"total": 9, "decomposable": 8, "failed": 1},
+        {"total": 9, "decomposable": 9, "failed": False},
+        {"total": 9, "decomposable": 9.0, "failed": 0},
+        None,
+    ], ids=["wrong counts", "bool count", "float count", "missing"])
+    def test_summary_disagreeing_with_records_is_recomputed(
+            self, capsys, tmp_path, summary):
+        cache = tmp_path / "cache"
+        _, cold, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
+        entry = next(cache.iterdir())
+        data = json.loads(cold)
+        if summary is None:
+            del data["summary"]
+        else:
+            data["summary"] = summary
+        entry.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        code, out, _ = invoke(capsys, *self.ARGS, "--cache", str(cache))
+        assert (code, out) == (0, cold)
+        assert entry.read_text() == cold
+
+    # the per-record mutations of tests/conftest.py, which load_report
+    # rejects too, and two that break only the enumeration order
+    ENTRY_MUTATIONS = dict(
+        RECORD_MUTATIONS,
+        **{"two records swapped": lambda data: data["records"].insert(
+               1, data["records"].pop(2)),
+           "one record dropped": lambda data: data["records"].pop()})
+
+    @pytest.mark.parametrize("mutation", ENTRY_MUTATIONS)
+    def test_malformed_entry_is_recomputed_and_repaired(
+            self, capsys, tmp_path, mutation):
+        args = ("verify", "--field", "2", "--n", "3", "--mode", "commuting",
+                "--cache", str(tmp_path))
+        _, cold, _ = invoke(capsys, *args)
+        entry = next(tmp_path.iterdir())
+        data = json.loads(cold)
+        self.ENTRY_MUTATIONS[mutation](data)
+        entry.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        code, out, _ = invoke(capsys, *args)
+        assert (code, out) == (0, cold)
+        assert entry.read_text() == cold
+
+    @pytest.mark.parametrize("argv, failed", [
+        (("--field", "3^2", "--n", "3", "--mode", "constructive"), 0),
+        (("--field", "2", "--n", "3", "--mode", "commuting"), 2),
+    ])
+    def test_hit_builds_only_the_failed_companions(
+            self, capsys, tmp_path, monkeypatch, argv, failed):
+        args = ("verify", *argv, "--cache", str(tmp_path))
+        _, cold, _ = invoke(capsys, *args)
+        built = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*a, **kw):
+                built[name] += 1
+                return fn(*a, **kw)
+            return counted
+
+        monkeypatch.setattr(search, "companion_of",
+                            counting("companion_of", search.companion_of))
+        monkeypatch.setattr(Mat, "__init__", counting("Mat", Mat.__init__))
+        monkeypatch.setattr(Mat, "_raw",
+                            staticmethod(counting("Mat", Mat._raw)))
+        monkeypatch.setattr(Witness, "__new__", staticmethod(
+            counting("Witness", Witness.__new__)))
+        code, out, _ = invoke(capsys, *args)
+        assert (code, out) == (0, cold)
+        # a hit runs the route again on each not_decomposable record only
+        assert built["companion_of"] == failed
+        if not failed:
+            assert (built["Mat"], built["Witness"]) == (0, 0)
 
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         flag_dir = tmp_path / "flag"

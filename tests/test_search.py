@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from conftest import square_zero_oracle
+from conftest import RECORD_MUTATIONS, square_zero_oracle
 from weakper import search
 from weakper.errors import (
     FieldTooSmall,
@@ -405,10 +405,21 @@ class TestReports:
             load_report("{not json")
         with pytest.raises(InputError):
             load_report(b"\xff{")
+        with pytest.raises(InputError):
+            load_report("[" * 100000 + "]" * 100000)
 
     def test_missing_keys_rejected(self):
         with pytest.raises(InputError):
             load_report(json.dumps({"field": "3^1/0,1"}))
+
+    @pytest.mark.parametrize("mutation", RECORD_MUTATIONS)
+    def test_malformed_record_rejected(self, gf2, mutation):
+        # the records a verify --cache hit rejects (tests/test_cli.py)
+        data = json.loads(verify_field(3, gf2, "commuting").to_json_bytes())
+        assert reverify_report(load_report(json.dumps(data)))
+        RECORD_MUTATIONS[mutation](data)
+        with pytest.raises(InputError, match="malformed"):
+            load_report(json.dumps(data))
 
 
 class TestTraceMembershipInvariant:
