@@ -58,68 +58,20 @@ DEFAULT_SEED = 1729
 EXIT_BROKEN_PIPE = 141
 
 
-def _json_parts(value, newline, out):
-    """Append the JSON text of value to out, laid out as json.dumps(value,
-    indent=2, sort_keys=True) lays it out; newline is a line break plus the
-    current indent.  Only dicts with str keys, lists, tuples, str, int, bool
-    and None are written: anything else raises TypeError."""
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        # matrix rows, g and companion_coeffs; a bool is no int here
-        if all(type(x) is int for x in value):
-            out.append("[" + inner + ("," + inner).join(
-                map(int.__repr__, value)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _json_parts(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            # raises TypeError on a key that is not a str
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_parts(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif kind is _Records:
-        _records_parts(value, newline, out)
-    else:
-        raise TypeError(f"cannot write a {kind.__name__} into a report")
+def _dumps(payload):
+    """The text of every report: json.dumps(payload, indent=2,
+    sort_keys=True) plus a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class _Records:
-    """The CompanionRecords of a report of dimension n, which _json_parts
-    writes as the list of their serialize() dicts without building one."""
-    __slots__ = ("n", "records")
-
-    def __init__(self, n, records):
-        self.n = n
-        self.records = records
+# stands in for a report's records in a payload written by _report_json
+_RECORDS = "\0records"
 
 
 @functools.lru_cache(maxsize=None)
 def _record_layouts(n, newline):
     """The two %-templates of a record of dimension n whose opening brace
-    sits at newline, laid out by _json_parts itself: one without a
+    sits at newline, laid out by json.dumps itself: one without a
     witness, taking (*g, status), and one with, taking (*g, status,
     *N.entries, *P.entries, commuting, *g, field, n, exponent, source) in
     the sorted order of the keys.  The strings go in JSON-encoded."""
@@ -132,27 +84,29 @@ def _record_layouts(n, newline):
         "field": text, "n": num, "potency_exponent": num, "source": text})
 
     def layout(skeleton):
-        out = []
-        _json_parts(skeleton, newline, out)
-        return ("".join(out).replace("%", "%%")
-                .replace(encode_basestring_ascii(num), "%d")
-                .replace(encode_basestring_ascii(text), "%s"))
+        return (json.dumps(skeleton, indent=2, sort_keys=True)
+                .replace("\n", newline)
+                .replace(json.dumps(num), "%d")
+                .replace(json.dumps(text), "%s"))
 
     return layout(bare), layout(full)
 
 
-def _records_parts(value, newline, out):
-    """Append the records list, one % per record on its per-n layout."""
-    if not value.records:
-        out.append("[]")
-        return
-    n = value.n
-    inner = newline + "  "
+def _report_json(payload, report, depth):
+    """_dumps(payload), with report.to_dict()["records"] where payload
+    holds _RECORDS at nesting depth depth.  Each record is one % on its
+    per-n layout, so no dict is built per record."""
+    head, tail = _dumps(payload).split(json.dumps(_RECORDS))
+    if not report.records:
+        return head + "[]" + tail
+    n = report.n
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
     bare, full = _record_layouts(n, inner)
     enc = encode_basestring_ascii
     spec = field = None
     texts = []
-    for rec in value.records:
+    for rec in report.records:
         g = rec.form.low_coeffs
         w = rec.witness
         if w is None:
@@ -165,16 +119,17 @@ def _records_parts(value, newline, out):
             *g, enc(rec.status), *w.nilpotent.entries, *w.potent.entries,
             "true" if w.commuting else "false", *g, field, n, w.exponent,
             enc(w.source)))
-    out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+    return (head + "[" + inner + ("," + inner).join(texts) + outer + "]"
+            + tail)
 
 
 def _report_payload(report):
-    """report.to_dict(), with its records left to _records_parts."""
+    """report.to_dict(), with _RECORDS in place of its records."""
     return {
         "field": report.field,
         "n": report.n,
         "mode": report.mode,
-        "records": _Records(report.n, report.records),
+        "records": _RECORDS,
         "summary": {
             "total": report.total,
             "decomposable": report.decomposable,
@@ -182,27 +137,6 @@ def _report_payload(report):
         },
         "version": report.version,
     }
-
-
-def _indented_json(payload):
-    """json.dumps(payload, indent=2, sort_keys=True) + "\n", in one pass;
-    a _Records in payload is written as the list of its records'
-    serialize() dicts.  Before Python 3.13, indent turns off json's C
-    encoder, and this takes about half the time of its pure-Python one on
-    a large verify report."""
-    out = []
-    _json_parts(payload, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-if sys.version_info >= (3, 13):
-    # json.dumps has a C encoder for indented output from 3.13 on, and it
-    # beats any Python writer
-    def _dumps(payload):
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-else:
-    _dumps = _indented_json
 
 
 def _csv_text(summary):
@@ -242,7 +176,13 @@ def _emit(args, payload_bytes, summary, text_lines):
     else:
         data = ("\n".join(text_lines) + "\n").encode("utf-8")
     if args.out:
-        _atomic_write(args.out, data)
+        try:
+            _atomic_write(args.out, data)
+        except OSError as exc:
+            # a path that cannot be written is bad input, not a failed
+            # check (exit 1) or a traceback
+            raise InputError(
+                f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(data.decode("utf-8"))
 
@@ -385,10 +325,8 @@ def _cmd_verify(args):
     if summary is None:
         report = verify_field(n, spec, args.mode, args.enum_cap,
                               args.brute_cap)
-        # the records' layout comes from _record_layouts on every
-        # interpreter: it beats json.dumps even where that runs in C
-        payload_bytes = _indented_json(_report_payload(report)).encode(
-            "utf-8")
+        payload_bytes = _report_json(_report_payload(report), report,
+                                     1).encode("utf-8")
         if cache_dir:
             _cache_store(cache_dir, key, payload_bytes)
         summary = {
@@ -459,7 +397,7 @@ def _cmd_conjecture(args):
     spec = parse_field(args.field)
     n = _require_n(args)
     scan = conjecture_scan(n, spec, args.enum_cap)
-    # scan.serialize(), with the records left to _records_parts
+    # scan.serialize(), with the records left to _report_json
     payload = {
         "report": _report_payload(scan.report),
         "non_decomposable": [list(g) for g in scan.non_decomposable],
@@ -479,7 +417,8 @@ def _cmd_conjecture(args):
         + (";".join(",".join(str(c) for c in g)
                     for g in scan.non_decomposable) or "none"),
     ]
-    _emit(args, _indented_json(payload).encode("utf-8"), summary, text)
+    _emit(args, _report_json(payload, scan.report, 2).encode("utf-8"),
+          summary, text)
     return 0
 
 

@@ -61,7 +61,7 @@ class BadDimension(InputError):
 
 
 class ExponentOverflow(LimitError):
-    """A potency exponent computation exceeds the supported integer range."""
+    """The universal potency exponent of a cell exceeds its cap 2^63."""
 
 
 class MinPolyNotFound(WeakperError):

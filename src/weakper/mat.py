@@ -395,8 +395,8 @@ def min_poly_exponent(mp):
     empty lcm is 1, so mp = X gets 2.
 
     Both facts are pure in mp, and Poly equality includes the field, so
-    they are memoised.  ExponentOverflow propagates, and lru_cache stores
-    nothing for a call that raises.
+    they are memoised.  The exponent is not capped: Python ints are
+    unbounded, and is_potent_at re-verifies it by powering.
     """
     if not _squarefree(mp):
         return None
@@ -406,9 +406,6 @@ def min_poly_exponent(mp):
     for d, h in distinct_degree_parts(mp):
         if h.degree > 0:
             k = math.lcm(k, _root_order(h, d))
-            if k >= EXPONENT_CAP:
-                raise ExponentOverflow(
-                    "potency exponent exceeds the cap 2^63")
     return k + 1
 
 

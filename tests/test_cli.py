@@ -1,7 +1,6 @@
 """Command line interface: subcommands, formats, caching, exit codes."""
 
 import collections
-import enum
 import hashlib
 import json
 import os
@@ -16,8 +15,7 @@ from conftest import RECORD_MUTATIONS
 from weakper import companion, gf, mat, search
 from weakper.cli import (
     EXIT_BROKEN_PIPE,
-    _dumps,
-    _indented_json,
+    _report_json,
     _report_payload,
     run,
 )
@@ -177,11 +175,14 @@ class TestDecomposeCommand:
     @pytest.mark.parametrize("field, poly, mode, exponent", [
         ("11", "1,2,3,4,0,1,2,3,4,1", "constructive", 11),
         ("2", "1,1,0,0,0,0,0,0,0,0,0,0,0,1,1", "commuting", 14),
+        # the witness's own exponent passes 2^63 too
+        ("31", "3,6,0,0,0,0,0,0,0,0,0,0,0,1", "commuting",
+         12208773148722521296),
     ])
     def test_past_the_universal_exponent_wall(self, capsys, field, poly,
                                               mode, exponent):
-        # lcm(q^d - 1 : d <= n) passes 2^63 here, the witness's own
-        # exponent does not, and re-verification needs only the latter
+        # lcm(q^d - 1 : d <= n) passes 2^63 here, and re-verification
+        # needs only the witness's own exponent
         code, out, _ = invoke(capsys, "decompose", "--field", field,
                               "--poly", poly, "--mode", mode)
         assert code == 0
@@ -460,36 +461,34 @@ JSON_VALUES = st.recursive(
     max_leaves=15)
 
 
-class Small(enum.IntEnum):
-    ONE = 1
+def assert_spliced_as_json(value):
+    """_report_json writes value before and after a report's records, at
+    depth one and two, as json.dumps writes it."""
+    report = verify_field(1, gf.parse_field("3"), "constructive")
+    payload, want = _report_payload(report), report.to_dict()
+    assert _report_json(dict(payload, a=value, z=value), report, 1) == (
+        reference_json(dict(want, a=value, z=value)))
+    assert _report_json({"a": value, "report": payload, "z": value},
+                        report, 2) == (
+        reference_json({"a": value, "report": want, "z": value}))
 
 
 class TestReportWriter:
     """Reports are laid out as json.dumps(indent=2, sort_keys=True) plus a
-    newline, on every interpreter."""
+    newline; the records spliced into that text leave the rest of the
+    payload as json.dumps writes it."""
 
     @settings(max_examples=100, deadline=None)
     @given(JSON_VALUES)
     def test_writer_matches_json(self, value):
-        assert _indented_json(value) == reference_json(value)
+        assert_spliced_as_json(value)
 
     @pytest.mark.parametrize("value", [
         [], {}, (), [[]], {"a": {}}, [1, True, 0, False, None],
         [True, False], [2 ** 64, -(2 ** 70), 0], {"b": [1, 2], "a": (3,)},
         "\"\\\x00\u20ac\U0001f600"])
     def test_writer_matches_json_on_edge_cases(self, value):
-        assert _indented_json(value) == reference_json(value)
-
-    @pytest.mark.parametrize("value", [
-        1.5, {1, 2}, Small.ONE, {1: 2}, [1, 2.0], [Small.ONE],
-        {"a": {3}}, {"a": 1, 2: 3}, b"bytes"])
-    def test_writer_refuses_what_it_cannot_write(self, value):
-        with pytest.raises(TypeError):
-            _indented_json(value)
-
-    def test_dumps_keeps_json_where_it_is_compiled(self):
-        # json.dumps(indent=...) runs in C from Python 3.13 on
-        assert (_dumps is _indented_json) == (sys.version_info < (3, 13))
+        assert_spliced_as_json(value)
 
 
 RECORD_FIELDS = ("2", "3", "2^2", "2^3", "3^2", "2^2/1,1,1")
@@ -528,10 +527,8 @@ class TestRecordLayouts:
 
     @staticmethod
     def assert_written_as_json(report):
-        want = report.to_dict()
-        got = _indented_json(_report_payload(report))
-        assert_same_text(got, reference_json(want))
-        assert_same_text(got, _dumps(want))
+        assert_same_text(_report_json(_report_payload(report), report, 1),
+                         reference_json(report.to_dict()))
 
     @pytest.mark.parametrize("field, n, mode", list(_layout_cases()))
     def test_field_report(self, field, n, mode):
@@ -615,6 +612,11 @@ class TestGoldenReports:
          "8adfcc216760f0763932ba357fa6f9f41c7dc31548923b19fabfc2a745209130"),
         (("conjecture", "--field", "2^2", "--n", "3"), 0,
          "9a3600a4394953216de641f1c8da1306a05ce2b9e1ea67dfaed7fbdfb121ed5b"),
+        # the largest payloads without records (about 17 and 23 KB)
+        (("sets", "--field", "5", "--n", "2"), 0,
+         "c57e151c2d006bea7098ecfc87cc463448d42fbe4912ed857028b0e81a6b5dc0"),
+        (("sets", "--field", "5", "--n", "3"), 0,
+         "0a30162556ca04264bf59a9f651833cf21910d2ca62f00565358ec6b5b9d6233"),
     ])
     def test_stdout(self, capsys, argv, code, digest):
         got, out, _ = invoke(capsys, *argv)
@@ -629,6 +631,40 @@ class TestGoldenReports:
         assert code == 1
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9eaeb5fc60c7a02f7066205da3470dea8b7c91a3819ddbee8ebd6d5ab36ad636")
+
+    def test_lemmas_out_file_gf5_n3(self, capsys, tmp_path):
+        path = tmp_path / "lemmas.json"
+        code, _, _ = invoke(capsys, "lemmas", "--field", "5", "--n", "3",
+                            "--out", str(path))
+        assert code == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f5b9e0808b2cfd43666b4fed20df9514246fa0b4510c850351ad431a22b685b1")
+
+
+class TestUnwritableOut:
+    """--out to a path that cannot be written is bad input: exit 2 with one
+    error line, and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--field", "2", "--n", "1"),
+        ("field-info", "--field", "2"),
+        # no PASS/FAIL line follows the failed write
+        ("lemmas", "--field", "2", "--n", "1", "--m-max", "2"),
+    ])
+    @pytest.mark.parametrize("target", ["directory", "under_a_file"])
+    def test_exits_2(self, capsys, tmp_path, argv, target):
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "file").write_text("")
+        out = tmp_path / {"directory": "directory",
+                          "under_a_file": "file/x.json"}[target]
+        code, stdout, err = invoke(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        # no temporary file is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "directory", "file"]
+        assert not any((tmp_path / "directory").iterdir())
 
 
 class TestClosedStdout:

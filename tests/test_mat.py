@@ -411,7 +411,7 @@ class TestPotencyMemo:
             is_potent(random_matrix(seeded_rng, gf5, 3))
         assert min_poly_exponent.cache_info().misses == 0
 
-    def test_overflow_is_raised_and_never_cached(self, gf2):
+    def test_exponent_past_2_63_is_exact(self, gf2):
         # irreducibles of degree 17, 19 and 31, whose roots have the prime
         # orders 2^17 - 1, 2^19 - 1 and 2^31 - 1: the lcm passes 2^63
         def sparse(*exps):
@@ -421,12 +421,9 @@ class TestPotencyMemo:
         assert all(is_irreducible(f) for f in parts)
         assert min_poly_exponent(parts[0] * parts[1]) == (
             (2 ** 17 - 1) * (2 ** 19 - 1) + 1)
-        mp = parts[0] * parts[1] * parts[2]
-        size = min_poly_exponent.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(ExponentOverflow):
-                min_poly_exponent(mp)
-        assert min_poly_exponent.cache_info().currsize == size
+        lcm = (2 ** 17 - 1) * (2 ** 19 - 1) * (2 ** 31 - 1)
+        assert lcm > 2 ** 63
+        assert min_poly_exponent(parts[0] * parts[1] * parts[2]) == lcm + 1
 
 
 class TestLinearCombination:
