@@ -6,6 +6,11 @@ degree first).  An element is the integer sum(digit[i] * p**i), so encodings
 run from 0 to p^l - 1 and the encoding order is total and deterministic.
 
 Prime fields use the sentinel modulus X, stored as (0, 1).
+
+The arithmetic kernels the other layers share live here, each written once:
+power (square-and-multiply, for field elements, polynomials mod m and
+matrices alike), multiplicative_order, unity_powers (the powers of a
+primitive d-th root of unity) and horner.
 """
 
 import functools
@@ -66,6 +71,54 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def power(x, k, mul):
+    """x^k for k >= 1, by square-and-multiply through mul.
+
+    Squares up to the lowest set bit of k, then multiplies in the higher
+    ones: no product with the identity, no squaring past the top bit.  The
+    caller handles k = 0, which has no identity to return here.
+    """
+    while not k & 1:
+        x = mul(x, x)
+        k >>= 1
+    result = x
+    k >>= 1
+    while k:
+        x = mul(x, x)
+        if k & 1:
+            result = mul(result, x)
+        k >>= 1
+    return result
+
+
+def multiplicative_order(x, t, pow_, one):
+    """Order of x in a group whose exponent divides t >= 1: every prime r
+    is stripped from t while pow_(x, t / r) is still the identity one."""
+    for r in prime_factors(t):
+        while t % r == 0 and pow_(x, t // r) == one:
+            t //= r
+    return t
+
+
+def unity_powers(spec, d):
+    """(1, z, ..., z^(d-1)) for z = g^((q - 1) / d), g spec's generator: the
+    d-th roots of unity in spec, for d dividing q - 1, in the order of
+    their discrete logs against z."""
+    zeta = spec._pow(spec.generator(), (spec.order - 1) // d)
+    out = [1]
+    for _ in range(d - 1):
+        out.append(spec._mul(out[-1], zeta))
+    return tuple(out)
+
+
+def horner(spec, coeffs, x):
+    """Value at x of the polynomial with ascending coefficients coeffs."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = spec._add(spec._mul(acc, x), c)
+    return acc
 
 
 def _smallest_irreducible(p, l):
@@ -215,29 +268,11 @@ class FieldSpec:
             out = out * p + d % p
         return out
 
-    def _raw_pow(self, x, k):
-        # table-free, safe during table construction
-        r = 1
-        b = x
-        while k:
-            if k & 1:
-                r = self._raw_mul(r, b) if self.l > 1 else r * b % self.p
-            b = self._raw_mul(b, b) if self.l > 1 else b * b % self.p
-            k >>= 1
-        return r
-
     def _pow(self, x, k):
         if k < 0:
             x = self._inv(x)
             k = -k
-        r = 1
-        b = x
-        while k:
-            if k & 1:
-                r = self._mul(r, b)
-            b = self._mul(b, b)
-            k >>= 1
-        return r
+        return power(x, k, self._mul) if k else 1
 
     def _inv(self, x):
         if x == 0:
@@ -249,7 +284,7 @@ class FieldSpec:
         if exp is not None:
             n = self.order - 1
             return exp[(n - self._log[x]) % n]
-        return self._raw_pow(x, self.order - 2)
+        return power(x, self.order - 2, self._mul)
 
     def _build_add_table(self):
         q, p, l = self.order, self.p, self.l
@@ -329,8 +364,9 @@ class FieldSpec:
             return 1
         n = q - 1
         targets = [n // r for r in prime_factors(n)]
+        # table-free: the exp/log build asks for the generator
         for g in range(2, q):
-            if all(self._raw_pow(g, t) != 1 for t in targets):
+            if all(power(g, t, self._raw_mul) != 1 for t in targets):
                 return g
         raise NoRootFound(f"no generator found in GF({self.p}^{self.l})")
 
@@ -370,11 +406,7 @@ class FieldSpec:
         self.check(x)
         if x == 0:
             raise DivisionByZero("the zero element has no multiplicative order")
-        t = self.order - 1
-        for r in prime_factors(t):
-            while t % r == 0 and self._pow(x, t // r) == 1:
-                t //= r
-        return t
+        return multiplicative_order(x, self.order - 1, self._pow, 1)
 
 
 @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
@@ -401,9 +433,9 @@ def parse_field(text, bound=DEFAULT_FIELD_BOUND):
     """
     if not isinstance(text, str) or not text.strip():
         raise InputError(f"cannot parse field descriptor {text!r}")
-    body, _, mod_text = text.strip().partition("/")
+    body, slash, mod_text = text.strip().partition("/")
     base, caret, deg = body.partition("^")
-    if caret and not deg:
+    if (caret and not deg) or (slash and not mod_text):
         raise InputError(f"cannot parse field descriptor {text!r}")
     try:
         p = int(base)
@@ -428,16 +460,7 @@ def roots_of_unity(spec, i):
     """All x in spec with x^i = 1; its size is gcd(i, p^l - 1)."""
     if not isinstance(i, int) or i < 1:
         raise InputError(f"unity order must be a positive integer, got {i!r}")
-    d = math.gcd(i, spec.order - 1)
-    if d == 1:
-        return frozenset((1,))
-    gamma = spec._pow(spec.generator(), (spec.order - 1) // d)
-    out = set()
-    acc = 1
-    for _ in range(d):
-        out.add(acc)
-        acc = spec._mul(acc, gamma)
-    return frozenset(out)
+    return frozenset(unity_powers(spec, math.gcd(i, spec.order - 1)))
 
 
 def subfield_lattice(spec):
@@ -452,26 +475,9 @@ def _embedding_powers(sub, sup):
     modulus inside sup."""
     # roots of an irreducible of degree d live in sup's unique subfield of
     # order p^d, so only those elements need scanning
-    candidates = [0]
-    if sub.order > 2:
-        gamma = sup._pow(sup.generator(), (sup.order - 1) // (sub.order - 1))
-        acc = 1
-        seen = set()
-        while acc not in seen:
-            seen.add(acc)
-            acc = sup._mul(acc, gamma)
-        candidates.extend(sorted(seen))
-    else:
-        candidates.append(1)
-    mod = sub.modulus
-    root = None
-    for y in candidates:
-        acc = 0
-        for c in reversed(mod):
-            acc = sup._add(sup._mul(acc, y), c)
-        if acc == 0:
-            root = y
-            break
+    candidates = [0] + sorted(roots_of_unity(sup, sub.order - 1))
+    root = next((y for y in candidates if horner(sup, sub.modulus, y) == 0),
+                None)
     if root is None:
         raise NoRootFound(
             f"modulus of GF({sub.p}^{sub.l}) has no root in "

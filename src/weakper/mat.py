@@ -12,11 +12,13 @@ the exponent off min_poly(M), each memoised per minimal polynomial.
 The exponent route (is_potent_at) proves it from M^t = M with p not
 dividing t - 1; Witness.verify runs both.  The universal route
 (is_potent_iterative) powers M to k + 1 and is kept to cross-check the
-min-poly route.
+min-poly route.  Matrix powers and root orders run through gf's power
+and multiplicative_order kernels.
 """
 
 import functools
 import math
+import operator
 
 from .errors import (
     BadDimension,
@@ -26,7 +28,7 @@ from .errors import (
     InputError,
     MinPolyNotFound,
 )
-from .gf import prime_factors
+from .gf import multiplicative_order, power
 from .poly import Poly, distinct_degree_parts, is_squarefree, pow_mod
 
 EXPONENT_CAP = 1 << 63
@@ -170,20 +172,7 @@ class Mat:
                 f"matrix exponent must be a non-negative integer, got {k!r}")
         if not k:
             return Mat.identity(self.spec, self.n)
-        # square up to the lowest set bit, then multiply in the higher
-        # ones; no product with the identity, no squaring past the top bit
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                result = result * base
-            k >>= 1
-        return result
+        return power(self, k, operator.mul)
 
     def trace(self):
         add = self.spec._add
@@ -373,13 +362,8 @@ def _root_order(h, d):
     lcm of the orders of the roots of h, and it divides q^d - 1.
     """
     spec = h.spec
-    t = spec.order ** d - 1
-    x = Poly.x(spec)
-    one = Poly.one(spec)
-    for r in prime_factors(t):
-        while t % r == 0 and pow_mod(x, t // r, h) == one:
-            t //= r
-    return t
+    return multiplicative_order(Poly.x(spec), spec.order ** d - 1,
+                                lambda x, k: pow_mod(x, k, h), Poly.one(spec))
 
 
 # squarefreeness of a minimal polynomial, memoised apart from its exponent:

@@ -2,6 +2,7 @@
 
 Coefficients are stored ascending (index = degree) in a canonical tuple with
 no trailing zeros; the zero polynomial has an empty tuple and degree -1.
+pow_mod and evaluation run through gf's power and horner kernels.
 """
 
 import itertools
@@ -14,7 +15,7 @@ from .errors import (
     InputError,
     ZeroPolynomial,
 )
-from .gf import DEFAULT_FIELD_BOUND, build_field, embed
+from .gf import DEFAULT_FIELD_BOUND, build_field, embed, horner, power
 
 FACTOR_DEGREE_CAP = 12
 
@@ -205,12 +206,8 @@ class Poly:
         return Poly._raw(spec, tuple(out))
 
     def evaluate(self, x):
-        spec = self.spec
-        spec.check(x)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = spec._add(spec._mul(acc, x), c)
-        return acc
+        self.spec.check(x)
+        return horner(self.spec, self.coeffs, x)
 
     def serialize(self):
         return list(self.coeffs)
@@ -247,14 +244,9 @@ def pow_mod(base, e, mod):
         raise InputError(f"exponent must be a non-negative integer, got {e!r}")
     if mod.degree < 1:
         raise ZeroPolynomial("modulus must have degree >= 1")
-    result = Poly.one(base.spec) % mod
-    b = base % mod
-    while e:
-        if e & 1:
-            result = (result * b) % mod
-        b = (b * b) % mod
-        e >>= 1
-    return result
+    if not e:
+        return Poly.one(base.spec)
+    return power(base % mod, e, lambda a, b: a * b % mod)
 
 
 def is_squarefree(f):
@@ -395,10 +387,7 @@ def roots_in_extensions(f, max_degree, field_bound=DEFAULT_FIELD_BOUND):
             lifted = [embed(c, f.spec, ext) for c in h.coeffs]
             found = 0
             for y in ext.elements():
-                acc = 0
-                for c in reversed(lifted):
-                    acc = ext._add(ext._mul(acc, y), c)
-                if acc == 0:
+                if horner(ext, lifted, y) == 0:
                     roots.append((y, ext))
                     found += 1
                     if found == h.degree:

@@ -9,7 +9,7 @@ Three constructions back the containment lemmas:
   powers of the m-cycle permutation matrix, and the union of the spectra of
   those matrices, resolved through bounded extensions.  Each such matrix is
   a circulant, so its spectrum is read off by evaluating the pattern at the
-  roots of unity.
+  roots of unity, which gf.unity_powers lists.
 - prime_shift_certificate: for a spectrum element w, a shift a in the prime
   field with (w - a)^m again in the prime field.
 """
@@ -26,7 +26,7 @@ from .errors import (
     InputError,
 )
 from .companion import DEFAULT_ENUM_BOUND, potent_trace_set
-from .gf import DEFAULT_FIELD_BOUND, build_field, embed
+from .gf import DEFAULT_FIELD_BOUND, build_field, embed, unity_powers
 from .mat import Mat, char_poly, cycle_permutation_matrix, det
 from .poly import root_extension, roots_in_extensions
 
@@ -165,10 +165,7 @@ def _spectra_by_evaluation(m, patterns, spec, ext_bound, field_bound):
     p, l = spec.p, spec.l
     order, k = _splitting_degree(m, p)
     split = build_field(p, k, field_bound)
-    zeta = split._pow(split.generator(), (split.order - 1) // order)
-    powers = [1]
-    for _ in range(order - 1):
-        powers.append(split._mul(powers[-1], zeta))
+    powers = unity_powers(split, order)
     preimages = {}  # e -> {image in split: element of GF(p^e)}
     placed = {}  # value in split -> (encoding, home), or None past ext_bound
 
@@ -389,12 +386,7 @@ def _witness_pattern_matrix(witness, m, spec, field_bound):
         # root orders are prime-to-p and divide the cyclic group order, so
         # an element of order exactly m exists and its powers cover every
         # witness root
-        omega = comp._pow(comp.generator(), (comp.order - 1) // m)
-        logs = {}
-        acc = 1
-        for e in range(m):
-            logs.setdefault(acc, e)
-            acc = comp._mul(acc, omega)
+        logs = {r: e for e, r in enumerate(unity_powers(comp, m))}
         exponents = [(w % spec.p, logs[embed(root, home, comp)])
                      for w, root, home, _ in witness.terms]
     entries = [[0] * m for _ in range(m)]

@@ -441,7 +441,9 @@ def _check_records(records, descriptor, n, q):
 
 def load_report(data):
     """Rebuild a VerifyReport from its JSON serialization; InputError when
-    it is not JSON or a record is not well formed (_check_records).
+    it is not JSON, its header is not one verify writes (a mode outside
+    MODES, a version that is not a str) or a record is not well formed
+    (_check_records).
     Whether the records are the q^n companions in order, and whether their
     witnesses hold, is reverify_report's to check."""
     try:
@@ -456,6 +458,11 @@ def load_report(data):
         n = raw["n"]
         if type(n) is not int or n < 1:
             raise ValueError(f"n must be an int >= 1, got {n!r}")
+        mode, version = raw["mode"], raw["version"]
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if type(version) is not str:
+            raise ValueError(f"version must be a str, got {version!r}")
         _check_records(raw["records"], spec.descriptor(), n, spec.order)
         records = []
         for rec in raw["records"]:
@@ -476,9 +483,9 @@ def load_report(data):
         report = VerifyReport(
             field=raw["field"],
             n=n,
-            mode=str(raw["mode"]),
+            mode=mode,
             records=tuple(records),
-            version=str(raw["version"]),
+            version=version,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"report JSON is malformed: {exc}") from None

@@ -4,6 +4,9 @@ import collections
 import hashlib
 import json
 import os
+import pathlib
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -325,6 +328,11 @@ class TestExitCodes:
                               "--n", "2", "--mode", "brute")
         assert code == 2
         assert "not a prime" in err
+
+    def test_empty_modulus_is_input_error(self, capsys):
+        code, _, err = invoke(capsys, "field-info", "--field", "2^2/")
+        assert code == 2
+        assert "cannot parse field descriptor" in err
 
     def test_missing_n_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "--field", "3",
@@ -901,6 +909,26 @@ class TestCache:
         invoke(capsys, *self.ARGS, "--cache", str(flag_dir))
         assert env_dir.is_dir() and list(env_dir.iterdir())
         assert not flag_dir.exists()
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Each `weakper ...` line of README's sh blocks, split into argv."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("weakper ")]
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_exits_0(self, capsys):
+        commands = readme_commands()
+        assert len(commands) == 8
+        for argv in commands:
+            code, _, err = invoke(capsys, *argv)
+            assert code == 0, (argv, err)
 
 
 def test_module_entry_point(tmp_path):

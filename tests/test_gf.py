@@ -17,10 +17,12 @@ from weakper.gf import (
     build_field,
     embed,
     is_prime,
+    multiplicative_order,
     parse_field,
     prime_factors,
     roots_of_unity,
     subfield_lattice,
+    unity_powers,
 )
 
 from conftest import exp_log_chain
@@ -31,6 +33,14 @@ GF9 = build_field(3, 2)
 # degrees such as 3^7, 7^5 and 2^15 whose two digit chunks differ in length
 TABLE_FIELDS = [(p, l) for p in (2, 3, 5, 7, 11, 13)
                 for l in range(2, 16) if p ** l <= 1 << 15]
+
+
+def fields_up_to(bound, min_degree=1):
+    """Canonical GF(p^l) for every prime power p^l <= bound with
+    l >= min_degree, ascending by (p, l)."""
+    return [build_field(p, l) for p in range(2, bound + 1) if is_prime(p)
+            for l in range(min_degree, bound.bit_length())
+            if p ** l <= bound]
 
 
 def test_is_prime_small_table():
@@ -97,6 +107,8 @@ def test_parse_field_rejects():
         parse_field("abc")
     with pytest.raises(InputError):
         parse_field("2^2/1,1")  # wrong coefficient count
+    with pytest.raises(InputError):
+        parse_field("2^2/")  # empty modulus
     with pytest.raises(DegreeOutOfRange):
         parse_field("2^25")  # order above the default field bound
 
@@ -308,3 +320,67 @@ def test_build_field_bounds():
 def test_field_memos_are_bounded():
     for memo in (gf._canonical_field, gf._embedding_powers):
         assert memo.cache_info().maxsize == 64
+
+
+def test_pow_at_zero_and_negative_exponents():
+    for spec in fields_up_to(64):
+        for x in spec.elements():
+            assert spec._pow(x, 0) == 1
+            if x == 0:
+                assert spec._pow(x, 3) == 0
+                with pytest.raises(DivisionByZero):
+                    spec._pow(x, -1)
+                continue
+            inv = spec._inv(x)
+            assert spec.mul(x, inv) == 1
+            acc = 1
+            for k in range(1, 5):
+                acc = spec.mul(acc, inv)
+                assert spec._pow(x, -k) == acc
+
+
+def test_multiplicative_order_matches_brute_walk():
+    for spec in fields_up_to(64):
+        for x in range(1, spec.order):
+            order = 1
+            acc = x
+            while acc != 1:
+                acc = spec.mul(acc, x)
+                order += 1
+            assert multiplicative_order(
+                x, spec.order - 1, spec._pow, 1) == order, (spec, x)
+            assert spec.element_order(x) == order
+
+
+def test_unity_powers_are_the_d_th_roots_of_unity():
+    for spec in fields_up_to(256):
+        q = spec.order
+        for d in range(1, q):
+            if (q - 1) % d:
+                continue
+            powers = unity_powers(spec, d)
+            assert len(powers) == d and len(set(powers)) == d, (spec, d)
+            assert all(spec._pow(x, d) == 1 for x in powers)
+            # successive powers of one primitive d-th root, from 1
+            zeta = powers[1] if d > 1 else 1
+            assert powers == tuple(spec._pow(zeta, i) for i in range(d))
+
+
+def test_embedding_powers_match_smallest_root_scan():
+    # extension fields only: a prime field's one pair is itself, and its
+    # modulus X has the root 0
+    for sup in fields_up_to(1 << 12, min_degree=2):
+        for sub in subfield_lattice(sup):
+            root = None
+            for y in sup.elements():
+                acc = 0
+                for c in reversed(sub.modulus):
+                    acc = sup.add(sup.mul(acc, y), c)
+                if acc == 0:
+                    root = y
+                    break
+            expected = [1]
+            for _ in range(sub.l - 1):
+                expected.append(sup.mul(expected[-1], root))
+            assert gf._embedding_powers(sub, sup) == tuple(expected), (
+                sub, sup)

@@ -16,7 +16,7 @@ from weakper.errors import (
     WeakperError,
 )
 from weakper import mat
-from weakper.gf import build_field
+from weakper.gf import build_field, multiplicative_order
 from weakper.mat import (
     Mat,
     char_poly,
@@ -32,10 +32,11 @@ from weakper.mat import (
     potency_exponent,
     universal_potency_exponent,
 )
-from weakper.poly import Poly, is_irreducible
+from weakper.poly import Poly, is_irreducible, pow_mod
 from weakper.companion import companion_of
 
 from conftest import (
+    _irreducible_root_order,
     char_poly_laplace,
     min_poly_scan,
     poly_at_matrix,
@@ -376,6 +377,28 @@ class TestPotency:
         assert is_square_zero(Mat.from_rows(gf3, [[0, 0], [1, 0]]))
         assert not is_square_zero(Mat.identity(gf3, 2))
         assert not is_square_zero(Mat.from_rows(gf3, [[0, 1], [1, 0]]))
+
+
+class TestRootOrder:
+    def test_order_of_x_modulo_each_small_irreducible(self, gf2, gf3):
+        # every irreducible g != X of degree <= 4: the order kernel, the
+        # conftest oracle and the first power of X that is 1 mod g agree
+        for spec in (gf2, gf3):
+            x, one = Poly.x(spec), Poly.one(spec)
+            for d in range(1, 5):
+                for low in itertools.product(range(spec.order), repeat=d):
+                    g = Poly(spec, low + (1,))
+                    if g == x or not is_irreducible(g):
+                        continue
+                    order = multiplicative_order(
+                        x, spec.order ** d - 1,
+                        lambda f, k: pow_mod(f, k, g), one)
+                    assert order == _irreducible_root_order(g)
+                    assert order == mat._root_order(g, d)
+                    walk, acc = 1, x % g
+                    while acc != one:
+                        walk, acc = walk + 1, acc * x % g
+                    assert order == walk, g
 
 
 class TestPotencyMemo:

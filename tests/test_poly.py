@@ -128,6 +128,40 @@ def test_pow_mod(gf3):
         pow_mod(Poly.x(gf3), 2, Poly.constant(gf3, 1))
 
 
+def test_pow_mod_at_exponent_zero(gf2, gf3, gf4):
+    for spec in (gf2, gf3, gf4):
+        for f in (Poly.zero(spec), Poly.one(spec), Poly.x(spec),
+                  Poly(spec, (1, 1, 0, 1))):
+            for m in (Poly(spec, (1, 1)), Poly(spec, (0, 0, 1)),
+                      Poly(spec, (1, 1, 0, 1))):
+                assert pow_mod(f, 0, m) == Poly.one(spec) % m
+
+
+def test_pow_mod_product_budget(gf3, monkeypatch):
+    # polynomial products counted exactly, as mat_product_budget counts
+    # matrix products: no product with 1, no squaring past the top bit
+    used = [0]
+    product = Poly.__mul__
+
+    def counted(a, b):
+        used[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    x = Poly.x(gf3)
+    m = Poly(gf3, (1, 2, 0, 0, 0, 1))  # X^5 + 2X + 1
+    for e in (0, 1):
+        pow_mod(x, e, m)
+    assert used == [0]
+    for k in range(1, 8):
+        before = used[0]
+        pow_mod(x, 2 ** k, m)
+        assert used[0] - before == k
+    before = used[0]
+    pow_mod(x, 7, m)
+    assert used[0] - before == 4  # squares X^2, X^4 and two products
+
+
 def test_is_squarefree(gf2, gf3):
     assert is_squarefree(Poly(gf3, (1, 0, 1)))  # irreducible
     assert not is_squarefree(Poly(gf3, (1, 2, 1)))  # (X+1)^2

@@ -421,6 +421,17 @@ class TestReports:
         with pytest.raises(InputError, match="malformed"):
             load_report(json.dumps(data))
 
+    @pytest.mark.parametrize("key,value", [
+        ("mode", 5), ("mode", ["brute"]), ("mode", "nonsense"),
+        ("version", 7)], ids=["mode-int", "mode-list", "mode-unknown",
+                              "version-int"])
+    def test_header_verify_never_writes_rejected(self, gf2, key, value):
+        data = json.loads(verify_field(2, gf2, "brute").to_json_bytes())
+        assert reverify_report(load_report(json.dumps(data)))
+        data[key] = value
+        with pytest.raises(InputError, match="malformed"):
+            load_report(json.dumps(data))
+
 
 class TestTraceMembershipInvariant:
     def test_decomposable_traces_lie_in_unity_sums(self, gf3, gf4):
