@@ -8,7 +8,6 @@ obstruction at this scale.
 """
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
@@ -18,13 +17,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from weakper.errors import EnumerationTooLarge
 from weakper.gf import build_field, is_prime
 from weakper.search import conjecture_scan
-
-
-@dataclasses.dataclass(frozen=True)
-class ScanConfig:
-    n: int
-    max_order: int
-    out: pathlib.Path | None = None
 
 
 def canonical_fields(max_order):
@@ -44,37 +36,33 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--max-order", type=int, default=5)
-    ap.add_argument("--out", default=None, help="optional JSON summary path")
-    args = ap.parse_args(argv)
-    return ScanConfig(
-        n=args.n,
-        max_order=args.max_order,
-        out=pathlib.Path(args.out) if args.out else None,
-    )
+    ap.add_argument("--out", help="optional JSON summary path")
+    return ap.parse_args(argv)
 
 
 def main(argv=None):
-    config = parse_args(argv)
+    args = parse_args(argv)
     found = []
     summary = []
-    for spec in canonical_fields(config.max_order):
+    for spec in canonical_fields(args.max_order):
         try:
-            scan = conjecture_scan(config.n, spec)
+            scan = conjecture_scan(args.n, spec)
         except EnumerationTooLarge as exc:
             print(f"SKIP {spec.descriptor()}: {exc}")
             continue
         misses = [list(g) for g in scan.non_decomposable]
         summary.append({"field": spec.descriptor(),
-                        "n": config.n,
+                        "n": args.n,
                         "total": scan.report.total,
                         "non_decomposable": misses})
-        print(f"{spec.descriptor()} n={config.n}: "
+        print(f"{spec.descriptor()} n={args.n}: "
               f"{scan.report.decomposable}/{scan.report.total} commuting, "
               f"missing {misses or 'none'}")
         found.extend((spec.descriptor(), g) for g in misses)
-    if config.out:
-        config.out.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"summary -> {config.out}")
+    if args.out:
+        pathlib.Path(args.out).write_text(
+            json.dumps(summary, indent=2) + "\n")
+        print(f"summary -> {args.out}")
     print(f"obstructions: {found or 'none'}")
     return 0
 

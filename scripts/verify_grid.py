@@ -7,7 +7,6 @@ exceeds the caps are reported as skipped rather than aborting the sweep.
 """
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 
@@ -16,17 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from weakper.companion import DEFAULT_ENUM_BOUND
 from weakper.errors import FieldTooSmall, SearchSpaceTooLarge, WeakperError
 from weakper.gf import parse_field
-from weakper.search import DEFAULT_BRUTE_CAP, verify_field
-
-
-@dataclasses.dataclass(frozen=True)
-class GridConfig:
-    fields: tuple
-    n_values: tuple
-    mode: str
-    out_dir: pathlib.Path
-    enum_cap: int = DEFAULT_ENUM_BOUND
-    brute_cap: int = DEFAULT_BRUTE_CAP
+from weakper.search import DEFAULT_BRUTE_CAP, MODES, verify_field
 
 
 def parse_args(argv=None):
@@ -35,37 +24,30 @@ def parse_args(argv=None):
                     help="comma-separated field descriptors")
     ap.add_argument("--n", default="2,3",
                     help="comma-separated matrix dimensions")
-    ap.add_argument("--mode", default="constructive",
-                    choices=("constructive", "brute", "commuting"))
-    ap.add_argument("--out-dir", default="grid_reports")
+    ap.add_argument("--mode", default="constructive", choices=MODES)
+    ap.add_argument("--out-dir", default="grid_reports", type=pathlib.Path)
     ap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_BOUND)
     ap.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
-    args = ap.parse_args(argv)
-    return GridConfig(
-        fields=tuple(f.strip() for f in args.fields.split(",") if f.strip()),
-        n_values=tuple(int(x) for x in args.n.split(",")),
-        mode=args.mode,
-        out_dir=pathlib.Path(args.out_dir),
-        enum_cap=args.enum_cap,
-        brute_cap=args.brute_cap,
-    )
+    return ap.parse_args(argv)
 
 
-def run_grid(config):
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+def run_grid(args):
+    fields = [f.strip() for f in args.fields.split(",") if f.strip()]
+    n_values = [int(x) for x in args.n.split(",")]
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     total_failed = 0
-    for descriptor in config.fields:
+    for descriptor in fields:
         try:
             spec = parse_field(descriptor)
         except WeakperError as exc:
             print(f"ERROR {descriptor}: {exc}")
             total_failed += 1
             continue
-        for n in config.n_values:
-            tag = f"{spec.descriptor().replace('/', '_')}_n{n}_{config.mode}"
+        for n in n_values:
+            tag = f"{spec.descriptor().replace('/', '_')}_n{n}_{args.mode}"
             try:
-                report = verify_field(n, spec, config.mode,
-                                      config.enum_cap, config.brute_cap)
+                report = verify_field(n, spec, args.mode, args.enum_cap,
+                                      args.brute_cap)
             except (FieldTooSmall, SearchSpaceTooLarge) as exc:
                 print(f"SKIP {tag}: {exc}")
                 continue
@@ -73,7 +55,7 @@ def run_grid(config):
                 print(f"ERROR {tag}: {exc}")
                 total_failed += 1
                 continue
-            path = config.out_dir / f"{tag}.json"
+            path = args.out_dir / f"{tag}.json"
             path.write_bytes(report.to_json_bytes() + b"\n")
             total_failed += report.failed
             print(f"{'OK  ' if not report.failed else 'FAIL'} {tag}: "

@@ -130,11 +130,7 @@ def _report_payload(report):
         "n": report.n,
         "mode": report.mode,
         "records": _RECORDS,
-        "summary": {
-            "total": report.total,
-            "decomposable": report.decomposable,
-            "failed": report.failed,
-        },
+        "summary": report.counts,
         "version": report.version,
     }
 
@@ -329,15 +325,9 @@ def _cmd_verify(args):
                                      1).encode("utf-8")
         if cache_dir:
             _cache_store(cache_dir, key, payload_bytes)
-        summary = {
-            "field": report.field,
-            "n": report.n,
-            "mode": report.mode,
-            "total": report.total,
-            "decomposable": report.decomposable,
-            "failed": report.failed,
-            "version": report.version,
-        }
+        summary = {"field": report.field, "n": report.n,
+                   "mode": report.mode, **report.counts,
+                   "version": report.version}
     text = [f"field {summary['field']} n {summary['n']} "
             f"mode {summary['mode']}",
             f"total {summary['total']} decomposable "

@@ -278,7 +278,7 @@ class FieldSpec:
         if x == 0:
             raise DivisionByZero(
                 f"cannot invert 0 in GF({self.p}^{self.l})")
-        if self.order == 2:
+        if x == 1:  # every element of GF(2), and every monic divisor's lead
             return 1
         exp = self._exp
         if exp is not None:

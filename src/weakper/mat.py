@@ -1,6 +1,8 @@
 """Square matrices over a FieldSpec, with the exact-arithmetic kernels the
 rest of the package builds on: division-free characteristic polynomials,
-minimal polynomials via Krylov elimination, and potency tests.
+minimal polynomials via Krylov elimination, and potency tests.  _reduce
+is the one elimination loop: min_poly, det, linear_combination and the
+square-zero enumerator's rank test in search all reduce through it.
 
 A matrix M counts as potent when its minimal polynomial is squarefree.
 That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
@@ -248,63 +250,79 @@ def char_poly(M):
     return Poly._raw(spec, tuple(reversed(v)))
 
 
+def _reduce(basis, vec, combo, spec):
+    """The one elimination loop: clear vec, in place, at the pivot of each
+    basis row (row, pivot, row_combo), where row holds 1, subtracting the
+    same multiples of each row_combo from combo.  Returns the first index
+    where vec is still nonzero, or None when vec reduced to 0.
+
+    Each basis row was reduced against the rows before it, so it is 0 at
+    their pivots, and vec ends 0 at every pivot: it reduces to 0 exactly
+    when it lies in the span of the rows.
+    """
+    sub, mul = spec._sub, spec._mul
+    for row, pivot, row_combo in basis:
+        c = vec[pivot]
+        if c:
+            for idx, v in enumerate(row):
+                if v:
+                    vec[idx] = sub(vec[idx], mul(c, v))
+            for idx, v in enumerate(row_combo):
+                if v:
+                    combo[idx] = sub(combo[idx], mul(c, v))
+    return next((idx for idx, v in enumerate(vec) if v), None)
+
+
+def _basis_row(vec, pivot, combo, spec):
+    """The basis row of a vector _reduce left nonzero at pivot: vec and
+    combo scaled so that vec holds 1 there."""
+    scale = spec._inv(vec[pivot])
+    if scale != 1:
+        mul = spec._mul
+        vec = [mul(scale, v) for v in vec]
+        combo = [mul(scale, v) for v in combo]
+    return vec, pivot, combo
+
+
 def det(M):
-    """Determinant by Gaussian elimination with exact field arithmetic."""
+    """Determinant: the rows reduced in order are, up to the column order
+    their pivots give, upper triangular, so det is the product of their
+    leading entries, negated when the pivot order has an odd number of
+    inversions."""
     spec, n = M.spec, M.n
-    rows = [list(M.entries[i * n:(i + 1) * n]) for i in range(n)]
+    basis = []
     out = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+    for i in range(n):
+        vec = list(M.entries[i * n:(i + 1) * n])
+        pivot = _reduce(basis, vec, [], spec)
         if pivot is None:
             return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            out = spec._neg(out)
-        lead = rows[col][col]
-        out = spec._mul(out, lead)
-        inv = spec._inv(lead)
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = spec._mul(rows[r][col], inv)
-                rows[r][col] = 0
-                for c in range(col + 1, n):
-                    if rows[col][c]:
-                        rows[r][c] = spec._sub(rows[r][c],
-                                               spec._mul(f, rows[col][c]))
-    return out
+        out = spec._mul(out, vec[pivot])
+        basis.append(_basis_row(vec, pivot, [], spec))
+    pivots = [pivot for _, pivot, _ in basis]
+    inversions = sum(a > b for j, a in enumerate(pivots)
+                     for b in pivots[j + 1:])
+    return spec._neg(out) if inversions % 2 else out
 
 
 def min_poly(M):
-    """Monic minimal polynomial via Krylov-style elimination on the matrix
-    powers I, M, M^2, ... with combination tracking."""
+    """Monic minimal polynomial: the powers I, M, M^2, ... reduced through
+    _reduce, each tracking its combination of powers, until one reduces
+    to 0."""
     spec, n = M.spec, M.n
-    sub, mul, inv = spec._sub, spec._mul, spec._inv
-    basis = []  # (reduced_vector, pivot_index, combination)
+    basis = []
     acc = Mat.identity(spec, n)
     k = 0
     while True:
         vec = list(acc.entries)
         combo = [0] * k + [1]
-        for bvec, pivot, bcombo in basis:
-            c = vec[pivot]
-            if c:
-                for idx, bv in enumerate(bvec):
-                    if bv:
-                        vec[idx] = sub(vec[idx], mul(c, bv))
-                for idx, bc in enumerate(bcombo):
-                    if bc:
-                        combo[idx] = sub(combo[idx], mul(c, bc))
-        pivot = next((idx for idx, val in enumerate(vec) if val), None)
+        pivot = _reduce(basis, vec, combo, spec)
         if pivot is None:
             return Poly(spec, combo)
         if k >= n:
             raise MinPolyNotFound(
                 "power M^n failed to reduce against lower powers")
-        scale = inv(vec[pivot])
-        if scale != 1:
-            vec = [mul(scale, val) for val in vec]
-            combo = [mul(scale, val) for val in combo]
-        basis.append((vec, pivot, combo))
+        basis.append(_basis_row(vec, pivot, combo, spec))
         acc = acc * M if k else M
         k += 1
 
@@ -402,42 +420,22 @@ def potency_exponent(M):
 def linear_combination(vectors, target, spec):
     """Coefficients c with sum(c[i] * vectors[i]) = target, or None.
 
-    Gaussian elimination over spec; free variables are set to 0, so the
-    answer is deterministic.  vectors and target are flat tuples of equal
-    length.
+    Each vector is reduced through _reduce in turn, then the target; a
+    vector that depends on earlier ones gets coefficient 0, so the answer
+    is deterministic.  vectors and target are flat tuples of equal length.
     """
     k = len(vectors)
-    m = len(target)
-    if any(len(v) != m for v in vectors):
+    if any(len(v) != len(target) for v in vectors):
         raise DimensionMismatch("vectors must all match the target length")
-    if k == 0:
-        return () if not any(target) else None
-    sub, mul, inv = spec._sub, spec._mul, spec._inv
-    rows = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        scale = inv(rows[r][c])
-        if scale != 1:
-            rows[r] = [mul(scale, v) for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ref = rows[r]
-                rows[i] = [sub(rows[i][j], mul(f, ref[j]))
-                           for j in range(k + 1)]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if rows[i][k]:
-            return None
-    sol = [0] * k
-    for ri, ci in pivots:
-        sol[ci] = rows[ri][k]
-    return tuple(sol)
+    basis = []
+    for j, v in enumerate(vectors):
+        vec, combo = list(v), [0] * k
+        combo[j] = 1
+        pivot = _reduce(basis, vec, combo, spec)
+        if pivot is not None:
+            basis.append(_basis_row(vec, pivot, combo, spec))
+    # what is left of the target is target + sum(combo[i] * vectors[i])
+    combo = [0] * k
+    if _reduce(basis, list(target), combo, spec) is not None:
+        return None
+    return tuple(map(spec._neg, combo))

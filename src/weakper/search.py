@@ -6,9 +6,10 @@ making C - N potent.  The candidates are enumerated by structure, not
 filtered out of all q^(n^2) matrices: a square-zero N is built from its
 image W, a subspace of its own kernel, and a full-rank map onto W from the
 functionals vanishing on W, and the list is sorted by entry tuple, which
-is encoding order.  The brute cap still bounds q^(n^2), the size of the
-space the candidates come from.  brute_commuting_decompose needs no
-search: the potent part of a commuting split is the Jordan-Chevalley
+is encoding order.  The full-rank test runs through mat._reduce, the
+package's one elimination loop.  The brute cap still bounds q^(n^2), the
+size of the space the candidates come from.  brute_commuting_decompose
+needs no search: the potent part of a commuting split is the Jordan-Chevalley
 semisimple part of C, a q-power of C.  verify_field runs one of the
 decomposition routes over all q^n companion matrices and emits a
 deterministic report whose witnesses have all been re-verified.
@@ -40,6 +41,8 @@ from .errors import (
 from .gf import parse_field
 from .mat import (
     Mat,
+    _basis_row,
+    _reduce,
     char_poly,
     is_potent,
     is_square_zero,
@@ -74,20 +77,20 @@ def _combine(spec, coeffs, vectors, size):
 
 def _independent_rows(spec, r, m):
     """Every r x m matrix of rank r, as a tuple of r row tuples."""
-    q = spec.order
-    vectors = list(itertools.product(range(q), repeat=m))
+    vectors = list(itertools.product(range(spec.order), repeat=m))
 
-    def extend(chosen, span):
+    def extend(chosen, basis):
         if len(chosen) == r:
             yield tuple(chosen)
             return
         for v in vectors:
-            if v not in span:
-                grown = {_combine(spec, (1, c), (s, v), m)
-                         for s in span for c in range(q)}
-                yield from extend(chosen + [v], grown)
+            vec = list(v)
+            pivot = _reduce(basis, vec, [], spec)
+            if pivot is not None:
+                yield from extend(chosen + [v], basis + [
+                    _basis_row(vec, pivot, [], spec)])
 
-    return tuple(extend([], {(0,) * m}))
+    return tuple(extend([], []))
 
 
 def _echelon_bases(spec, n, r):
@@ -314,17 +317,20 @@ class VerifyReport(collections.namedtuple(
     def failed(self):
         return self.total - self.decomposable
 
+    @property
+    def counts(self):
+        """The report's summary: {total, decomposable, failed}."""
+        total, decomposable = self.total, self.decomposable
+        return {"total": total, "decomposable": decomposable,
+                "failed": total - decomposable}
+
     def to_dict(self):
         return {
             "field": self.field,
             "n": self.n,
             "mode": self.mode,
             "records": [r.serialize() for r in self.records],
-            "summary": {
-                "total": self.total,
-                "decomposable": self.decomposable,
-                "failed": self.failed,
-            },
+            "summary": self.counts,
             "version": self.version,
         }
 

@@ -222,6 +222,24 @@ class TestDet:
             b = random_matrix(seeded_rng, gf4, 3)
             assert det(a * b) == gf4._mul(det(a), det(b))
 
+    @pytest.mark.parametrize("p,l", [(3, 1), (2, 2), (5, 1)])
+    def test_permutation_matrices_have_their_sign(self, p, l):
+        # pins the parity det reads off the order of the pivots
+        spec = build_field(p, l)
+        for perm in itertools.permutations(range(4)):
+            m = Mat.from_rows(spec, [[int(j == perm[i]) for j in range(4)]
+                                     for i in range(4)])
+            cycles, seen = 0, set()
+            for start in range(4):
+                if start not in seen:
+                    cycles += 1
+                    i = start
+                    while i not in seen:
+                        seen.add(i)
+                        i = perm[i]
+            sign = 1 if (4 - cycles) % 2 == 0 else spec._neg(1)
+            assert det(m) == sign, perm
+
 
 class TestMinPoly:
     def test_scalar_matrix(self, gf5):
@@ -481,6 +499,35 @@ class TestLinearCombination:
                 for i in range(3):
                     acc[i] = gf5._add(acc[i], gf5._mul(c, v[i]))
             assert tuple(acc) == target
+
+    def test_none_exactly_when_no_coefficients_reach_the_target(
+            self, gf3, seeded_rng):
+        # every target of length m, against every k-tuple of vectors when
+        # there are at most 3^6 of them and 150 seeded ones otherwise
+        def combine(coeffs, vecs, m):
+            acc = [0] * m
+            for c, v in zip(coeffs, vecs):
+                for i in range(m):
+                    acc[i] = gf3._add(acc[i], gf3._mul(c, v[i]))
+            return tuple(acc)
+
+        for m in range(4):
+            space = list(itertools.product(range(3), repeat=m))
+            for k in range(4):
+                if 3 ** (m * k) <= 3 ** 6:
+                    systems = itertools.product(space, repeat=k)
+                else:
+                    systems = (tuple(seeded_rng.choice(space)
+                                     for _ in range(k)) for _ in range(150))
+                for vecs in systems:
+                    reach = {combine(c, vecs, m)
+                             for c in itertools.product(range(3), repeat=k)}
+                    for target in space:
+                        sol = linear_combination(vecs, target, gf3)
+                        if sol is None:
+                            assert target not in reach, (vecs, target)
+                        else:
+                            assert combine(sol, vecs, m) == target
 
 
 GF9 = build_field(3, 2)

@@ -12,7 +12,7 @@ from weakper.errors import (
     InputError,
     ZeroPolynomial,
 )
-from weakper import poly
+from weakper import gf, poly
 from weakper.gf import build_field, embed
 from weakper.mat import char_poly, cycle_permutation_matrix
 from weakper.poly import (
@@ -135,6 +135,24 @@ def test_pow_mod_at_exponent_zero(gf2, gf3, gf4):
             for m in (Poly(spec, (1, 1)), Poly(spec, (0, 0, 1)),
                       Poly(spec, (1, 1, 0, 1))):
                 assert pow_mod(f, 0, m) == Poly.one(spec) % m
+
+
+def test_monic_division_inverts_nothing(gf7, monkeypatch):
+    # GF(7) has no log tables, so any inverse but 1's runs gf.power
+    calls = [0]
+    kernel = gf.power
+
+    def counted(x, k, mul):
+        calls[0] += 1
+        return kernel(x, k, mul)
+
+    monkeypatch.setattr(gf, "power", counted)
+    f = Poly(gf7, (3, 1, 4, 1, 5, 6))
+    q, r = divmod(f, Poly(gf7, (2, 6, 1)))
+    assert q * Poly(gf7, (2, 6, 1)) + r == f
+    assert calls == [0]
+    divmod(f, Poly(gf7, (2, 6, 3)))
+    assert calls == [1]
 
 
 def test_pow_mod_product_budget(gf3, monkeypatch):

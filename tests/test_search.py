@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -22,6 +23,7 @@ from weakper.mat import Mat, is_potent, potency_exponent
 from weakper.companion import Witness, companion_of, enumerate_companions
 from weakper.search import (
     MODES,
+    _independent_rows,
     _square_zero_entries,
     brute_commuting_decompose,
     brute_decompose,
@@ -120,6 +122,18 @@ def square_zero_count(q, n):
     return total
 
 
+def row_span(spec, rows, m):
+    """Every combination of rows, flat tuples of length m."""
+    span = set()
+    for coeffs in itertools.product(range(spec.order), repeat=len(rows)):
+        acc = [0] * m
+        for c, row in zip(coeffs, rows):
+            for i in range(m):
+                acc[i] = spec._add(acc[i], spec._mul(c, row[i]))
+        span.add(tuple(acc))
+    return span
+
+
 def first_commuting_witness(C, oracle):
     """The commuting witness whose N comes first among the filter oracle's
     square-zero matrices, or None."""
@@ -153,6 +167,24 @@ class TestSquareZeroEnumeration:
         for form in enumerate_companions(n, spec):
             assert (brute_commuting_decompose(form.matrix)
                     == first_commuting_witness(form.matrix, oracle))
+
+    @pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
+    def test_independent_rows_count_full_rank_matrices(self, p, l):
+        # prod_{i<r} (q^m - q^i) r x m matrices have rank r; where there
+        # are at most 3^6 r x m matrices, the rank-r ones are also found
+        # by the size q^r of their row span
+        spec = build_field(p, l)
+        q = spec.order
+        for m in range(4):
+            space = list(itertools.product(range(q), repeat=m))
+            for r in range(m + 1):
+                rows = _independent_rows(spec, r, m)
+                assert len(set(rows)) == len(rows) == math.prod(
+                    q ** m - q ** i for i in range(r))
+                if q ** (r * m) <= 3 ** 6:
+                    assert set(rows) == {
+                        g for g in itertools.product(space, repeat=r)
+                        if len(row_span(spec, g, m)) == q ** r}
 
     @pytest.mark.parametrize("p,l,n,count", [
         (2, 1, 3, 22), (3, 1, 3, 105), (2, 2, 3, 316), (5, 1, 3, 745),
