@@ -11,6 +11,7 @@ was written.
 import argparse
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -36,7 +37,7 @@ from .poly import parse_poly
 from .rosets import (
     DEFAULT_M_MAX,
     containment_report,
-    gcd_divisibility,
+    gcd_failures,
     pattern_spectra,
     prime_shift_certificate,
     unity_sum_set,
@@ -412,9 +413,18 @@ def _cmd_conjecture(args):
     return 0
 
 
-def _random_matrix(rng, spec, n):
-    return Mat._raw(spec, n,
-                    tuple(rng.randrange(spec.order) for _ in range(n * n)))
+def _randrange_draws(rng, bound, start=0):
+    """Endless rng.randrange(start, start + bound) draws, drawn as CPython
+    draws them: bound.bit_length() bits from rng.getrandbits, drawn again
+    while they reach bound.  The values, their order and the state rng is
+    left in are those of the randrange calls, without their argument
+    checks."""
+    getrandbits = rng.getrandbits
+    k = bound.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < bound:
+            yield start + r
 
 
 def _cmd_lemmas(args):
@@ -445,14 +455,9 @@ def _cmd_lemmas(args):
     results["spectra_shift_certificates"] = (
         not bad_shift, f"missing {bad_shift}")
 
-    bad_gcd = 0
-    for _ in range(10000):
-        a = rng.randrange(1, 10 ** 6 + 1)
-        b = rng.randrange(1, 10 ** 6 + 1)
-        c = rng.randrange(1, 10 ** 6 + 1)
-        holds, _quot = gcd_divisibility(a, b, c)
-        if not holds:
-            bad_gcd += 1
+    # (a, b, c) are three consecutive draws from 1..10^6
+    draws = _randrange_draws(rng, 10 ** 6, 1)
+    bad_gcd = gcd_failures(itertools.islice(zip(draws, draws, draws), 10000))
     results["gcd_product_divisibility"] = (
         bad_gcd == 0, f"{bad_gcd} failures in 10000 seeded triples")
 
@@ -471,9 +476,10 @@ def _cmd_lemmas(args):
         results["same_trace_difference_square_zero"] = (
             True, f"skipped (q^n = {spec.order ** n} > 64)")
 
+    entries = _randrange_draws(rng, spec.order)
     mismatch = 0
     for _ in range(200):
-        M = _random_matrix(rng, spec, n)
+        M = Mat._raw(spec, n, tuple(itertools.islice(entries, n * n)))
         if is_potent(M) != is_potent_iterative(M):
             mismatch += 1
     results["potency_route_agreement"] = (

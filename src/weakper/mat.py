@@ -149,8 +149,22 @@ class Mat:
         self._compatible(other)
         spec, n = self.spec, self.n
         a, b = self.entries, other.entries
-        mul, add = spec._mul, spec._add
         out = [0] * (n * n)
+        if spec.l == 1:
+            # GF(p): plain integer sums, each entry reduced once
+            for i in range(n):
+                ai = i * n
+                for k in range(n):
+                    c = a[ai + k]
+                    if c:
+                        bk = k * n
+                        for j in range(n):
+                            d = b[bk + j]
+                            if d:
+                                out[ai + j] += c * d
+            p = spec.p
+            return Mat._raw(spec, n, tuple([x % p for x in out]))
+        mul, add = spec._mul, spec._add
         for i in range(n):
             ai = i * n
             for k in range(n):

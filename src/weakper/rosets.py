@@ -368,6 +368,18 @@ def gcd_divisibility(a, b, c):
     return (prod % g_bc == 0, prod // g_bc)
 
 
+def gcd_failures(triples):
+    """Number of triples (a, b, c) of positive integers for which
+    gcd_divisibility(a, b, c) does not hold, counted in one pass without
+    its per-triple validation."""
+    gcd = math.gcd
+    failures = 0
+    for a, b, c in triples:
+        if gcd(b, a) * gcd(c, a) % gcd(b * c, a):
+            failures += 1
+    return failures
+
+
 def _witness_pattern_matrix(witness, m, spec, field_bound):
     """Build f(P_m) over the base field, where f is the weight pattern the
     witness encodes: a term of multiplicity w and root r contributes w * X^e
@@ -447,8 +459,12 @@ def containment_report(n, spec, ext_degree, m_max=DEFAULT_M_MAX,
     additionally appears in the enumerated pattern spectra when m <= m_max
     (members whose enumerated cross-check is out of range land in skipped);
     (c) divisor_count agrees with direct enumeration on every m used.
-    The q^n companions behind (a) are enumerated under enum_bound.
+    The q^n companions behind (a) are enumerated under enum_bound; m_max
+    must be at least 2, the shortest cycle.
     """
+    if not isinstance(m_max, int) or m_max < 2:
+        raise InputError(
+            f"pattern length bound must be an integer >= 2, got {m_max!r}")
     traces = potent_trace_set(n, spec, enum_bound)
     sums = unity_sum_set(n, spec, ext_degree, field_bound)
     trace_violations = []

@@ -7,7 +7,9 @@ enumerating monic candidates in encoding order, square_zero_oracle
 filters all q^(n^2) matrices for N^2 = 0, and exp_log_chain builds the
 exp/log tables by one generic multiplication per entry.
 potency_exponent_by_factoring takes the exponent from the trial-division
-factorization instead of the distinct-degree parts.
+factorization instead of the distinct-degree parts.  product_by_elements
+multiplies matrices by the naive triple loop through the field's element
+operations.
 """
 
 import functools
@@ -179,6 +181,21 @@ def exp_log_chain(spec):
         log[acc] = i
         acc = spec._raw_mul(acc, g)
     return exp, log
+
+
+def product_by_elements(A, B):
+    """A * B by the naive triple loop, one spec._mul and spec._add per
+    term."""
+    spec, n = A.spec, A.n
+    mul, add = spec._mul, spec._add
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = add(acc, mul(A.entries[i * n + k], B.entries[k * n + j]))
+            out.append(acc)
+    return Mat(spec, n, out)
 
 
 def random_matrix(rng, spec, n):

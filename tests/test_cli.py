@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import re
 import shlex
 import shutil
@@ -18,6 +19,7 @@ from conftest import RECORD_MUTATIONS
 from weakper import companion, gf, mat, search
 from weakper.cli import (
     EXIT_BROKEN_PIPE,
+    _randrange_draws,
     _report_json,
     _report_payload,
     run,
@@ -306,6 +308,22 @@ class TestLemmasCommand:
         assert failing[0].startswith("FAIL spectra_shift_certificates")
 
 
+class TestRandrangeDraws:
+    """lemmas draws its samples through getrandbits the way randrange
+    does; a CPython whose randrange draws otherwise fails here."""
+
+    @pytest.mark.parametrize("seed", [1729, 1, 0, -3])
+    def test_same_values_and_state_as_randrange(self, seed):
+        for bound in (2, 3, 4, 5, 7, 8, 9, 16, 10 ** 6):
+            for start in (0, 1):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                draws = _randrange_draws(ours, bound, start)
+                for _ in range(300):
+                    assert next(draws) == theirs.randrange(
+                        start, start + bound), (bound, start)
+                assert ours.random() == theirs.random(), (bound, start)
+
+
 class TestConjectureCommand:
     def test_gf3_scan_clean(self, capsys):
         code, out, _ = invoke(capsys, "conjecture", "--field", "3",
@@ -376,6 +394,16 @@ class TestExitCodes:
                               flag, value)
         assert code == 2
         assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command", ["sets", "lemmas"])
+    @pytest.mark.parametrize("m_max", ["1", "0", "-3"])
+    def test_m_max_below_two_is_input_error(self, capsys, command, m_max):
+        # no cycle is shorter than 2, so the checks would check nothing
+        code, out, err = invoke(capsys, command, "--field", "2", "--n", "2",
+                                "--m-max", m_max)
+        assert code == 2
+        assert out == ""
+        assert "pattern length bound must be an integer >= 2" in err
 
     def test_seed_belongs_to_lemmas(self, capsys):
         code, _, _ = invoke(capsys, "sets", "--field", "3", "--n", "2",

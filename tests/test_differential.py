@@ -1,6 +1,6 @@
 """Differential checks against sympy over prime fields: characteristic
-polynomials, factorisations, distinct-degree parts, squarefreeness and
-irreducibility."""
+polynomials, matrix products, factorisations, distinct-degree parts,
+squarefreeness and irreducibility."""
 
 import pytest
 
@@ -66,6 +66,18 @@ def test_char_poly_matches_sympy(p, seeded_rng):
             ours = char_poly(Mat.from_rows(spec, rows))
             theirs = sympy.Matrix(n, n, entries).charpoly(X).all_coeffs()
             assert ours.coeffs == _ascending_mod_p(theirs, p), rows
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_product_matches_sympy(p, seeded_rng):
+    spec = build_field(p, 1)
+    for n in range(1, 6):
+        for _ in range(6):
+            a = [seeded_rng.randrange(p) for _ in range(n * n)]
+            b = [seeded_rng.randrange(p) for _ in range(n * n)]
+            ours = Mat(spec, n, a) * Mat(spec, n, b)
+            theirs = sympy.Matrix(n, n, a) * sympy.Matrix(n, n, b)
+            assert ours.entries == tuple(int(c) % p for c in theirs), (a, b)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -16,7 +16,7 @@ from weakper.errors import (
     WeakperError,
 )
 from weakper import mat
-from weakper.gf import build_field, multiplicative_order
+from weakper.gf import FieldSpec, build_field, multiplicative_order
 from weakper.mat import (
     Mat,
     char_poly,
@@ -41,6 +41,7 @@ from conftest import (
     min_poly_scan,
     poly_at_matrix,
     potency_exponent_by_factoring,
+    product_by_elements,
     random_matrix,
 )
 
@@ -127,6 +128,42 @@ class TestArithmetic:
             for k in range(40):
                 assert m ** k == power, (m, k)
                 power = power * m
+
+
+class TestPrimeFieldProduct:
+    """Over GF(p), Mat.__mul__ sums plain integer products and reduces
+    each entry once."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+    def test_matches_the_element_loop(self, p, seeded_rng):
+        spec = build_field(p, 1)
+        for n in range(1, 6):
+            cases = [Mat.zeros(spec, n), Mat.identity(spec, n)]
+            cases += [random_matrix(seeded_rng, spec, n) for _ in range(3)]
+            for _ in range(2):
+                low = [seeded_rng.randrange(p) for _ in range(n)]
+                cases.append(companion_of(Poly(spec, low + [1])).matrix)
+            for a in cases:
+                for b in cases:
+                    assert a * b == product_by_elements(a, b), (a, b)
+
+    def test_makes_no_element_product(self, gf4, gf5, seeded_rng,
+                                      monkeypatch):
+        calls = [0]
+        element_mul = FieldSpec._mul
+
+        def counted(spec, x, y):
+            calls[0] += 1
+            return element_mul(spec, x, y)
+
+        monkeypatch.setattr(FieldSpec, "_mul", counted)
+        for n in range(1, 6):
+            a = random_matrix(seeded_rng, gf5, n)
+            a * random_matrix(seeded_rng, gf5, n)
+        assert calls == [0]
+        # an extension field still multiplies through its tables
+        random_matrix(seeded_rng, gf4, 3) * Mat.identity(gf4, 3)
+        assert calls[0] > 0
 
 
 class TestProductBudgets:

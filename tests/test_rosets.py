@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import weakper
 from weakper import rosets
 from weakper.errors import (
     BadDimension,
@@ -18,6 +19,7 @@ from weakper.rosets import (
     containment_report,
     divisor_count,
     gcd_divisibility,
+    gcd_failures,
     pattern_spectra,
     prime_shift_certificate,
     unity_sum_set,
@@ -360,6 +362,43 @@ class TestGcdDivisibility:
     def test_bad_arguments(self):
         with pytest.raises(InputError):
             gcd_divisibility(0, 1, 1)
+
+    def test_stays_public(self):
+        assert "gcd_divisibility" in weakper.__all__
+
+
+# edge triples: all 1s, equal values, and shared prime powers, on which
+# the reversed divisibility gcd(b, a) * gcd(c, a) | gcd(b * c, a) fails
+EDGE_TRIPLES = (
+    (1, 1, 1), (2, 2, 2), (12, 12, 12), (999983, 999983, 999983),
+    (2 ** 10, 2 ** 4, 2 ** 7), (2 ** 4, 2 ** 10, 2 ** 7),
+    (2 ** 3 * 3 ** 2, 2 ** 5 * 3, 2 ** 2 * 3 ** 4), (360, 360, 1),
+    (1, 360, 360), (5 ** 6, 5 ** 3, 5 ** 3), (6, 4, 9),
+)
+
+
+class TestGcdFailures:
+    @staticmethod
+    def expected(triples):
+        return sum(1 for a, b, c in triples
+                   if not gcd_divisibility(a, b, c)[0])
+
+    def test_counts_what_gcd_divisibility_rejects(self, seeded_rng):
+        triples = [tuple(seeded_rng.randrange(1, 10 ** 6 + 1)
+                         for _ in range(3)) for _ in range(2000)]
+        triples += EDGE_TRIPLES
+        assert gcd_failures(iter(triples)) == self.expected(triples) == 0
+        for t in triples:
+            assert gcd_failures([t]) == self.expected([t])
+        assert gcd_failures(()) == 0
+
+    def test_edge_triples_tell_the_two_directions_apart(self):
+        # a counter that tested the divisibility the wrong way round
+        # would count 6 of them
+        reversed_fails = [
+            (a, b, c) for a, b, c in EDGE_TRIPLES
+            if math.gcd(b * c, a) % (math.gcd(b, a) * math.gcd(c, a))]
+        assert len(reversed_fails) == 6
 
 
 class TestWitnessMembership:
