@@ -293,15 +293,22 @@ def _cmd_decompose(args):
 
 
 def _verify_cache_key(spec, n, mode, enum_cap, brute_cap):
-    # hashlib loads OpenSSL, and only verify --cache needs it
-    import hashlib
+    # the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before) gives
+    # the digest hashlib gives without loading OpenSSL, about 5 ms a process
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     # only brute mode reads brute_cap, so only its entries depend on it
     fields = ["verify", spec.descriptor(), str(n), mode, str(enum_cap)]
     if mode == "brute":
         fields.append(str(brute_cap))
     blob = "|".join(fields + [TOOL_VERSION])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _cmd_verify(args):
@@ -508,6 +515,19 @@ def _cmd_lemmas(args):
     return 0 if all_passed else 1
 
 
+def _cap(text):
+    """A search bound counts candidates, so a negative one is a usage
+    error; 0 is a bound that every search exceeds."""
+    message = f"must be an integer >= 0, got {text!r}"
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(message)
+    return cap
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", required=True,
@@ -518,11 +538,12 @@ def build_parser():
 
     # read by the subcommands that enumerate all q^n companions
     enum_cap = argparse.ArgumentParser(add_help=False)
-    enum_cap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_BOUND)
+    enum_cap.add_argument("--enum-cap", type=_cap,
+                          default=DEFAULT_ENUM_BOUND)
 
     # read by the subcommands that run a brute search
     brute_cap = argparse.ArgumentParser(add_help=False)
-    brute_cap.add_argument("--brute-cap", type=int,
+    brute_cap.add_argument("--brute-cap", type=_cap,
                            default=DEFAULT_BRUTE_CAP)
 
     # read by sets and lemmas only

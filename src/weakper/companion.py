@@ -163,14 +163,18 @@ class Witness(collections.namedtuple(
 
     def verify(self, companion_matrix, require_commuting=False):
         """Re-check every claim this witness makes.  The claims about the
-        potent part alone are checked once per (P, exponent) and memoised;
+        potent part alone are memoised per (P, exponent) for constructive
+        witnesses, the only ones that share P (q of them per field and n);
         the rest are checked on every call."""
         P, N = self.potent, self.nilpotent
         if P + N != companion_matrix:
             return False
         if not is_square_zero(N):
             return False
-        if not _potent_claims_hold(P, self.exponent):
+        potent_claims_hold = (_potent_claims_hold
+                              if self.source == "constructive"
+                              else _potent_claims_hold.__wrapped__)
+        if not potent_claims_hold(P, self.exponent):
             return False
         if (P * N == N * P) != self.commuting:
             return False

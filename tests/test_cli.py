@@ -22,15 +22,17 @@ from weakper.cli import (
     _randrange_draws,
     _report_json,
     _report_payload,
+    _verify_cache_key,
     run,
 )
-from weakper.companion import Witness, companion_of
+from weakper.companion import DEFAULT_ENUM_BOUND, Witness, companion_of
 from weakper.errors import ExponentOverflow
 from weakper.mat import Mat, universal_potency_exponent
 from weakper.poly import Poly, parse_poly
 from weakper.search import (
     DEFAULT_BRUTE_CAP,
     MODES,
+    TOOL_VERSION,
     CompanionRecord,
     VerifyReport,
     conjecture_scan,
@@ -381,6 +383,34 @@ class TestExitCodes:
                             "--mode", "brute", "--brute-cap", "10")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--field", "3", "--n", "2", "--enum-cap", "-5"),
+        ("verify", "--field", "2", "--n", "2", "--mode", "brute",
+         "--brute-cap", "-1"),
+        ("decompose", "--field", "2", "--poly", "1,1", "--mode", "brute",
+         "--brute-cap", "-3"),
+        ("decompose", "--field", "2", "--poly", "1,1", "--brute-cap", "-3"),
+        ("sets", "--field", "2", "--n", "2", "--enum-cap", "-1"),
+        ("conjecture", "--field", "2", "--n", "2", "--enum-cap", "-1"),
+        ("lemmas", "--field", "2", "--n", "2", "--enum-cap", "-1"),
+        ("verify", "--field", "3", "--n", "2", "--enum-cap", "many"),
+    ])
+    def test_invalid_cap_is_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"must be an integer >= 0, got '{argv[-1]}'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--field", "3", "--n", "2", "--enum-cap", "0"),
+        ("decompose", "--field", "2", "--poly", "1,1", "--mode", "brute",
+         "--brute-cap", "0"),
+    ])
+    def test_zero_cap_is_resource_error(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 3
+        assert "exceed the bound 0" in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "2",
                             "--mode", "brute", "--frobnicate")
@@ -440,11 +470,12 @@ class TestExitCodes:
 class TestStartUp:
     """Every run is a fresh process, so a module that only some runs need
     is imported where it is used."""
-    # dataclasses pulls in inspect; hashlib loads OpenSSL
+    # dataclasses pulls in inspect; hashlib loads OpenSSL's _hashlib
     PROBE = ("import sys\n"
              "from weakper.cli import run\n"
              "code = run(sys.argv[1:]) if sys.argv[1:] else 0\n"
-             "heavy = {'dataclasses', 'inspect', 'hashlib', 'csv'}\n"
+             "heavy = {'dataclasses', 'inspect', 'hashlib', '_hashlib',"
+             " 'csv'}\n"
              "print(code, *sorted(heavy & set(sys.modules)),"
              " file=sys.stderr)\n")
 
@@ -468,7 +499,7 @@ class TestStartUp:
         assert self.loaded_after("verify", "--field", "3", "--n", "2",
                                  "--format", "csv",
                                  "--cache", str(tmp_path)) == [
-            "0", "csv", "hashlib"]
+            "0", "csv"]
 
     def test_cache_entry_name_is_pinned(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "3",
@@ -477,6 +508,55 @@ class TestStartUp:
         assert [entry.name for entry in tmp_path.iterdir()] == [
             "effbca9d8196d5b145fd2bd0bff688b84be1658ae13d9fe1ea27f2c8ac872eb3"
             ".json"]
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--field", "3^2", "--n", "3"),
+         "8efcc22d8ff376874f93353ddc45d2052ad15c8f15602cabcdf66da0d8c6bc5b"),
+        (("--field", "2", "--n", "3", "--mode", "commuting"),
+         "81a714ed98c66aae4e3e7fa603e884cd70fab3db4e140a9068529f4a387ae3b1"),
+        (("--field", "2", "--n", "3", "--mode", "brute", "--enum-cap",
+          "1000", "--brute-cap", "600"),
+         "1456fb74de4617cd87f61221acabb5fc94a410a4928177e55e253f38c58b366f"),
+    ])
+    def test_cache_entry_names_of_every_mode_are_pinned(self, capsys,
+                                                        tmp_path, argv,
+                                                        name):
+        code, _, _ = invoke(capsys, "verify", *argv, "--cache",
+                            str(tmp_path))
+        assert code == 0
+        assert [entry.name for entry in tmp_path.iterdir()] == [
+            name + ".json"]
+
+    @pytest.mark.parametrize("field", ["2", "3^2", "2^2/1,1,1"])
+    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("enum_cap, brute_cap", [
+        (DEFAULT_ENUM_BOUND, DEFAULT_BRUTE_CAP), (0, 0), (1000, 600)])
+    def test_cache_key_is_hashlib_sha256(self, field, n, mode, enum_cap,
+                                         brute_cap):
+        spec = gf.parse_field(field)
+        fields = ["verify", spec.descriptor(), str(n), mode, str(enum_cap)]
+        if mode == "brute":
+            fields.append(str(brute_cap))
+        blob = "|".join(fields + [TOOL_VERSION]).encode("utf-8")
+        assert _verify_cache_key(spec, n, mode, enum_cap, brute_cap) == (
+            hashlib.sha256(blob).hexdigest())
+
+    def test_cache_key_falls_back_to_hashlib(self, monkeypatch):
+        spec = gf.parse_field("3^2")
+        key = _verify_cache_key(spec, 3, "brute", 1000, 600)
+        # neither built-in module can be imported, so hashlib must serve
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        calls = []
+
+        def sha256(data):
+            calls.append(data)
+            return hashlib.new("sha256", data)
+
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        assert _verify_cache_key(spec, 3, "brute", 1000, 600) == key
+        assert len(calls) == 1
 
 
 def reference_json(value):

@@ -228,6 +228,22 @@ class TestPotentPartMemo:
         assert all(memo.cache_info().hits > before
                    for memo, before in zip(self.MEMOS, hits))
 
+    @pytest.mark.parametrize("field, n, mode", [
+        ("gf2", 4, "commuting"), ("gf3", 3, "brute")])
+    def test_only_constructive_witnesses_use_the_claims_memo(
+            self, request, gf5, field, n, mode):
+        # a brute or commuting witness has its own P, so a memo would only
+        # hold matrices that never come back; constructive witnesses share
+        # one P per trace
+        memo = companion._potent_claims_hold
+        memo.cache_clear()
+        spec = request.getfixturevalue(field)
+        assert verify_field(n, spec, mode).decomposable > 0
+        assert memo.cache_info().currsize == 0
+        assert verify_field(3, gf5, "constructive").decomposable == 125
+        info = memo.cache_info()
+        assert (info.hits, info.currsize) == (120, 5)
+
 
 @pytest.fixture
 def fresh_potent_claims():
