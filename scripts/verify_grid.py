@@ -12,28 +12,40 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from weakper.cli import _cap
 from weakper.companion import DEFAULT_ENUM_BOUND
 from weakper.errors import FieldTooSmall, SearchSpaceTooLarge, WeakperError
 from weakper.gf import parse_field
 from weakper.search import DEFAULT_BRUTE_CAP, MODES, verify_field
 
 
+def dimensions(text):
+    """Comma-separated matrix dimensions, each an integer >= 1."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be integers >= 1, got {text!r}")
+    return values
+
+
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fields", default="2,3,2^2,5,7,2^3,3^2",
                     help="comma-separated field descriptors")
-    ap.add_argument("--n", default="2,3",
+    ap.add_argument("--n", default="2,3", type=dimensions,
                     help="comma-separated matrix dimensions")
     ap.add_argument("--mode", default="constructive", choices=MODES)
     ap.add_argument("--out-dir", default="grid_reports", type=pathlib.Path)
-    ap.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_BOUND)
-    ap.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
+    ap.add_argument("--enum-cap", type=_cap, default=DEFAULT_ENUM_BOUND)
+    ap.add_argument("--brute-cap", type=_cap, default=DEFAULT_BRUTE_CAP)
     return ap.parse_args(argv)
 
 
 def run_grid(args):
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
-    n_values = [int(x) for x in args.n.split(",")]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     total_failed = 0
     for descriptor in fields:
@@ -43,7 +55,7 @@ def run_grid(args):
             print(f"ERROR {descriptor}: {exc}")
             total_failed += 1
             continue
-        for n in n_values:
+        for n in args.n:
             tag = f"{spec.descriptor().replace('/', '_')}_n{n}_{args.mode}"
             try:
                 report = verify_field(n, spec, args.mode, args.enum_cap,

@@ -501,6 +501,53 @@ class TestStartUp:
                                  "--cache", str(tmp_path)) == [
             "0", "csv"]
 
+    # the hook is registered before main() runs, so it runs after main's
+    # freeze and prints how many objects the freeze moved
+    FREEZE_PROBE = ("import atexit, gc, sys\n"
+                    "import weakper.cli\n"
+                    "atexit.register(lambda: print(gc.get_freeze_count(),"
+                    " file=sys.stderr))\n"
+                    "if sys.argv.pop(1) == 'main':\n"
+                    "    weakper.cli.main()\n"
+                    "sys.exit(weakper.cli.run(sys.argv[1:]))\n")
+
+    def frozen_at_exit(self, entry, *argv, stdout=subprocess.DEVNULL):
+        """Exit code of a fresh run of argv through entry ("main" or
+        "run"), and gc.get_freeze_count() when the interpreter exits."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FREEZE_PROBE, entry, *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, check=False)
+        return proc.returncode, int(proc.stderr.split()[-1])
+
+    @pytest.mark.parametrize("argv, code", [
+        (("field-info", "--field", "7"), 0),
+        (("verify", "--field", "2^2", "--n", "2"), 1),
+        (("verify", "--field", "4", "--n", "2"), 2),
+        (("decompose", "--field", "3", "--poly", "2,1", "--mode", "brute",
+          "--brute-cap", "0"), 3),
+    ])
+    def test_main_freezes_before_exit(self, argv, code):
+        got, frozen = self.frozen_at_exit("main", *argv)
+        assert got == code
+        assert frozen > 0
+
+    def test_main_freezes_on_a_closed_stdout(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            got, frozen = self.frozen_at_exit(
+                "main", "verify", "--field", "3", "--n", "2",
+                stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert got == EXIT_BROKEN_PIPE
+        assert frozen > 0
+
+    def test_run_freezes_nothing(self):
+        # the tests and the benchmark's tracer call run() in-process
+        assert self.frozen_at_exit(
+            "run", "verify", "--field", "2^2", "--n", "2") == (1, 0)
+
     def test_cache_entry_name_is_pinned(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "3",
                             "--mode", "brute", "--cache", str(tmp_path))
@@ -826,6 +873,89 @@ class TestClosedStdout:
         assert proc.stderr == b""
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9eaeb5fc60c7a02f7066205da3470dea8b7c91a3819ddbee8ebd6d5ab36ad636")
+
+
+class TestProcessMatchesRun:
+    """main() adds only the way out to run(): a `python -m weakper.cli`
+    child gives the exit code, stdout, stderr and written files that run()
+    gives in-process."""
+
+    # the commands of a case run in turn in one directory that holds only
+    # the file "blocker", so a cache there cannot be written
+    CASES = {
+        "field-info json": [("field-info", "--field", "2^2")],
+        "field-info text": [("field-info", "--field", "3^2", "--format",
+                             "text")],
+        "decompose json": [("decompose", "--field", "5", "--poly",
+                            "1,2,3,1")],
+        "decompose text --count-witnesses": [
+            ("decompose", "--field", "2", "--poly", "1,0,1", "--mode",
+             "brute", "--count-witnesses", "--format", "text")],
+        "decompose exits 3": [("decompose", "--field", "3", "--poly", "2,1",
+                               "--mode", "brute", "--brute-cap", "0")],
+        "verify csv": [("verify", "--field", "3", "--n", "2", "--format",
+                        "csv")],
+        "verify --out exits 1": [("verify", "--field", "2^2", "--n", "2",
+                                  "--out", "reports/verify.json")],
+        "verify --cache miss then hit": [
+            ("verify", "--field", "2", "--n", "3", "--mode", "commuting",
+             "--cache", "cache"),
+            ("verify", "--field", "2", "--n", "3", "--mode", "commuting",
+             "--cache", "cache", "--format", "text")],
+        "verify unwritable cache": [("verify", "--field", "3", "--n", "2",
+                                     "--cache", "blocker")],
+        "verify exits 2": [("verify", "--field", "4", "--n", "2")],
+        "sets text": [("sets", "--field", "2", "--n", "2", "--format",
+                       "text")],
+        "sets --out csv": [("sets", "--field", "3", "--n", "2", "--out",
+                            "sets.csv", "--format", "csv")],
+        "conjecture json": [("conjecture", "--field", "2", "--n", "3")],
+        "lemmas": [("lemmas", "--field", "3", "--n", "2", "--m-max", "4")],
+        "lemmas --out exits 1": [("lemmas", "--field", "3", "--n", "2",
+                                  "--m-max", "5", "--out", "lemmas.json")],
+        "usage error": [("verify", "--field", "2", "--n", "2",
+                         "--enum-cap", "-1")],
+    }
+
+    def outcome(self, work, commands, entry):
+        """What each command gives through entry, then every file left in
+        work, from a fresh work directory."""
+        shutil.rmtree(work, ignore_errors=True)
+        work.mkdir()
+        (work / "blocker").write_text("")
+        results = [entry(argv) for argv in commands]
+        files = {str(path.relative_to(work)): path.read_bytes()
+                 for path in sorted(work.rglob("*")) if path.is_file()}
+        return results, files
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_outcome(self, capsys, monkeypatch, tmp_path, case):
+        monkeypatch.delenv("WEAKPER_CACHE", raising=False)
+        # the same absolute path both times, so error texts that name a
+        # path agree too
+        work = tmp_path / "work"
+        src = pathlib.Path(search.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+        def in_process(argv):
+            monkeypatch.chdir(work)
+            code, out, err = invoke(capsys, *argv)
+            return code, out.encode("utf-8"), err.encode("utf-8")
+
+        # bytes, so that no newline is translated (csv ends rows in \r\n)
+        def child(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "weakper.cli", *argv], cwd=work,
+                env=env, capture_output=True, check=False)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        commands = self.CASES[case]
+        want = self.outcome(work, commands, in_process)
+        assert self.outcome(work, commands, child) == want
+        # each command printed or wrote something
+        results, files = want
+        assert all(out or err for _, out, err in results) or len(files) > 1
 
 
 class TestCache:

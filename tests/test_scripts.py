@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from weakper import search
 from weakper.search import load_report, reverify_report
 
@@ -56,3 +58,39 @@ def test_verify_grid(tmp_path):
         report = load_report(path.read_bytes())
         assert report.failed == 0
         assert reverify_report(report)
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("conjecture_scan.py", ("--n", "0"),
+     "argument --n: must be an integer >= 1, got '0'"),
+    ("conjecture_scan.py", ("--n", "-2"),
+     "argument --n: must be an integer >= 1, got '-2'"),
+    ("conjecture_scan.py", ("--n", "x"),
+     "argument --n: must be an integer >= 1, got 'x'"),
+    ("verify_grid.py", ("--n", "x"),
+     "argument --n: must be integers >= 1, got 'x'"),
+    ("verify_grid.py", ("--n", "2,0"),
+     "argument --n: must be integers >= 1, got '2,0'"),
+    ("verify_grid.py", ("--n", "2", "--mode", "brute", "--brute-cap", "-1"),
+     "argument --brute-cap: must be an integer >= 0, got '-1'"),
+    ("verify_grid.py", ("--n", "2", "--enum-cap", "-1"),
+     "argument --enum-cap: must be an integer >= 0, got '-1'"),
+])
+def test_invalid_argument_is_usage_error(tmp_path, name, argv, message):
+    out_dir = tmp_path / "reports"
+    where = (("--fields", "2,3", "--out-dir", str(out_dir))
+             if name == "verify_grid.py" else ("--max-order", "3"))
+    proc = run_script(name, *argv, *where)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == f"{name}: error: {message}"
+    assert not out_dir.exists()
+
+
+def test_verify_grid_zero_cap_skips(tmp_path):
+    # 0 is a bound that every search exceeds, not a usage error
+    proc = run_script("verify_grid.py", "--fields", "2", "--n", "2",
+                      "--mode", "brute", "--brute-cap", "0",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("SKIP 2^1_0,1_n2_brute: 2^4 candidate matrices "
+                           "exceed the bound 0\n")
