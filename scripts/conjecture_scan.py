@@ -14,6 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from weakper.cli import _dimension
 from weakper.errors import EnumerationTooLarge
 from weakper.gf import build_field, is_prime
 from weakper.search import conjecture_scan
@@ -32,21 +33,9 @@ def canonical_fields(max_order):
     return sorted(specs, key=lambda s: s.order)
 
 
-def dimension(text):
-    """A matrix dimension: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return n
-
-
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=dimension, default=2)
+    ap.add_argument("--n", type=_dimension, default=2)
     ap.add_argument("--max-order", type=int, default=5)
     ap.add_argument("--out", help="optional JSON summary path")
     return ap.parse_args(argv)

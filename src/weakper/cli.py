@@ -9,7 +9,6 @@ was written.
 """
 
 import argparse
-import functools
 import gc
 import io
 import itertools
@@ -32,7 +31,12 @@ from .errors import (
     TraceNotRealizable,
     WeakperError,
 )
-from .gf import parse_field, roots_of_unity, subfield_lattice
+from .gf import (
+    parse_field,
+    power_exceeds,
+    roots_of_unity,
+    subfield_lattice,
+)
 from .mat import Mat, is_potent, is_potent_iterative
 from .poly import parse_poly
 from .rosets import (
@@ -70,7 +74,6 @@ def _dumps(payload):
 _RECORDS = "\0records"
 
 
-@functools.lru_cache(maxsize=None)
 def _record_layouts(n, newline):
     """The two %-templates of a record of dimension n whose opening brace
     sits at newline, laid out by json.dumps itself: one without a
@@ -209,14 +212,6 @@ def _cache_store(cache_dir, key, data):
         print(f"warning: could not write cache: {exc}", file=sys.stderr)
 
 
-def _require_n(args):
-    if args.n is None:
-        raise InputError("--n is required for this subcommand")
-    if args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
-    return args.n
-
-
 def _cmd_field_info(args):
     spec = parse_field(args.field)
     roots = {
@@ -314,7 +309,7 @@ def _verify_cache_key(spec, n, mode, enum_cap, brute_cap):
 
 def _cmd_verify(args):
     spec = parse_field(args.field)
-    n = _require_n(args)
+    n = args.n
     cache_dir = _cache_dir(args)
     summary = None
     if cache_dir:
@@ -349,7 +344,7 @@ def _cmd_verify(args):
 
 def _cmd_sets(args):
     spec = parse_field(args.field)
-    n = _require_n(args)
+    n = args.n
     ext = args.ext_bound if args.ext_bound is not None else n
     m_max = args.m_max
     traces = sorted(potent_trace_set(n, spec, args.enum_cap))
@@ -394,7 +389,7 @@ def _cmd_sets(args):
 
 def _cmd_conjecture(args):
     spec = parse_field(args.field)
-    n = _require_n(args)
+    n = args.n
     scan = conjecture_scan(n, spec, args.enum_cap)
     # scan.serialize(), with the records left to _report_json
     payload = {
@@ -437,7 +432,7 @@ def _randrange_draws(rng, bound, start=0):
 
 def _cmd_lemmas(args):
     spec = parse_field(args.field)
-    n = _require_n(args)
+    n = args.n
     ext = args.ext_bound if args.ext_bound is not None else n
     rng = random.Random(args.seed)
     results = {}
@@ -469,7 +464,7 @@ def _cmd_lemmas(args):
     results["gcd_product_divisibility"] = (
         bad_gcd == 0, f"{bad_gcd} failures in 10000 seeded triples")
 
-    if spec.order ** n <= 64:
+    if not power_exceeds(spec.order, n, 64):
         forms = list(enumerate_companions(n, spec, args.enum_cap))
         law_ok = True
         for f1 in forms:
@@ -516,17 +511,26 @@ def _cmd_lemmas(args):
     return 0 if all_passed else 1
 
 
+def _at_least(text, low):
+    message = f"must be an integer >= {low}, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < low:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def _cap(text):
     """A search bound counts candidates, so a negative one is a usage
     error; 0 is a bound that every search exceeds."""
-    message = f"must be an integer >= 0, got {text!r}"
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(message)
-    return cap
+    return _at_least(text, 0)
+
+
+def _dimension(text):
+    """A matrix dimension: an integer >= 1."""
+    return _at_least(text, 1)
 
 
 def build_parser():
@@ -538,9 +542,10 @@ def build_parser():
                         default="json")
 
     # read by the subcommands that enumerate all q^n companions
-    enum_cap = argparse.ArgumentParser(add_help=False)
-    enum_cap.add_argument("--enum-cap", type=_cap,
-                          default=DEFAULT_ENUM_BOUND)
+    companions = argparse.ArgumentParser(add_help=False)
+    companions.add_argument("--n", type=_dimension, required=True)
+    companions.add_argument("--enum-cap", type=_cap,
+                            default=DEFAULT_ENUM_BOUND)
 
     # read by the subcommands that run a brute search
     brute_cap = argparse.ArgumentParser(add_help=False)
@@ -571,28 +576,24 @@ def build_parser():
     p_dec.add_argument("--count-witnesses", action="store_true",
                        help="also count every (P, N) pair exhaustively")
 
-    p_ver = sub.add_parser("verify", parents=[common, enum_cap, brute_cap],
+    p_ver = sub.add_parser("verify", parents=[common, companions, brute_cap],
                            help="decompose every companion matrix of "
                                 "degree n")
-    p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--cache",
                        help="cache directory (WEAKPER_CACHE overrides)")
     p_ver.add_argument("--mode", choices=MODES, default="constructive")
 
-    p_sets = sub.add_parser("sets", parents=[common, enum_cap, spectra],
+    p_sets = sub.add_parser("sets", parents=[common, companions, spectra],
                             help="trace set, unity sum set, pattern "
                                  "spectra, containment checks")
-    p_sets.add_argument("--n", type=int, default=None)
 
-    p_conj = sub.add_parser("conjecture", parents=[common, enum_cap],
+    p_conj = sub.add_parser("conjecture", parents=[common, companions],
                             help="commuting-decomposition ground truth "
                                  "scan")
-    p_conj.add_argument("--n", type=int, default=None)
 
-    p_lem = sub.add_parser("lemmas", parents=[common, enum_cap, spectra],
+    p_lem = sub.add_parser("lemmas", parents=[common, companions, spectra],
                            help="run the lemma suite and print PASS/FAIL "
                                 "lines")
-    p_lem.add_argument("--n", type=int, default=None)
     p_lem.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser

@@ -20,6 +20,7 @@ from .errors import (
     TraceNotRealizable,
     ZeroDegree,
 )
+from .gf import power_exceeds
 from .mat import (
     Mat,
     is_potent_at,
@@ -37,10 +38,6 @@ DEFAULT_ENUM_BOUND = 1 << 20
 # evicts; traces cycle fastest in companion order, so a smaller cache would
 # miss on every call once q exceeded it.
 _POTENT_CACHE_SIZE = 1024
-# bound of the potent-trace-set memo: `sets` asks for the set, then its
-# containment report asks again with the same arguments.  The memo is typed,
-# so n = 2.0 still raises BadDimension after n = 2 was cached.
-_TRACE_SET_CACHE_SIZE = 8
 
 
 class CompanionForm(collections.namedtuple("CompanionForm", "poly matrix")):
@@ -86,7 +83,7 @@ def enumerate_companions(n, spec, bound=DEFAULT_ENUM_BOUND):
     if not isinstance(n, int) or n < 1:
         raise BadDimension(f"dimension must be >= 1, got {n!r}")
     q = spec.order
-    if q ** n > bound:
+    if power_exceeds(q, n, bound):
         raise EnumerationTooLarge(
             f"{q}^{n} companion matrices exceed the bound {bound}")
     for low in itertools.product(range(q), repeat=n):
@@ -216,7 +213,6 @@ def trace_matched_decomposition(form):
     )
 
 
-@functools.lru_cache(maxsize=_TRACE_SET_CACHE_SIZE, typed=True)
 def potent_trace_set(n, spec, bound=DEFAULT_ENUM_BOUND):
     """Traces of all potent companion matrices: { -a_{n-1} : g squarefree }.
 
@@ -228,7 +224,7 @@ def potent_trace_set(n, spec, bound=DEFAULT_ENUM_BOUND):
     if not isinstance(n, int) or n < 1:
         raise BadDimension(f"dimension must be >= 1, got {n!r}")
     q = spec.order
-    if q ** n > bound:
+    if power_exceeds(q, n, bound):
         raise EnumerationTooLarge(
             f"{q}^{n} companion polynomials exceed the bound {bound}")
     out = set()

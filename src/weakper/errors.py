@@ -24,6 +24,10 @@ class NotPrime(InputError):
     """The requested characteristic is not a prime number."""
 
 
+class BadDegree(InputError):
+    """An extension degree is below 1."""
+
+
 class DegreeOutOfRange(LimitError):
     """A degree or field size falls outside the supported range."""
 

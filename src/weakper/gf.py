@@ -18,6 +18,7 @@ import itertools
 import math
 
 from .errors import (
+    BadDegree,
     DegreeOutOfRange,
     DivisionByZero,
     FieldMismatch,
@@ -43,34 +44,38 @@ _ADD_TABLE_BOUND = 1 << 7
 _FIELD_CACHE_SIZE = 64
 
 
-def is_prime(n):
-    if not isinstance(n, int) or n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def factorize(n):
+    """Yield (prime, exponent) for each prime dividing n >= 1, ascending,
+    by trial division: the package's one such loop.  The pairs come one at
+    a time, so a caller that needs only the smallest prime stops there."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            yield f, e
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
+def is_prime(n):
+    return isinstance(n, int) and n >= 2 and next(factorize(n)) == (n, 1)
 
 
 def prime_factors(n):
     """Distinct prime factors of n >= 1, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    return tuple(f for f, _ in factorize(n))
+
+
+def power_exceeds(q, k, bound):
+    """q^k > bound for integers q >= 2, k >= 0, without building q^k when
+    q^k >= 2^(k (bitlen q - 1)) already reaches 2^(bitlen bound) > bound."""
+    if k * (q.bit_length() - 1) >= bound.bit_length():
+        return True
+    return q ** k > bound
 
 
 def power(x, k, mul):
@@ -418,8 +423,8 @@ def build_field(p, l, bound=DEFAULT_FIELD_BOUND):
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime(f"{p!r} is not a prime")
     if not isinstance(l, int) or l < 1:
-        raise DegreeOutOfRange(f"extension degree must be >= 1, got {l!r}")
-    if p ** l > bound:
+        raise BadDegree(f"extension degree must be >= 1, got {l!r}")
+    if power_exceeds(p, l, bound):
         raise DegreeOutOfRange(
             f"field order {p}^{l} exceeds the bound {bound}")
     return _canonical_field(p, l)

@@ -26,7 +26,14 @@ from .errors import (
     InputError,
 )
 from .companion import DEFAULT_ENUM_BOUND, potent_trace_set
-from .gf import DEFAULT_FIELD_BOUND, build_field, embed, unity_powers
+from .gf import (
+    DEFAULT_FIELD_BOUND,
+    build_field,
+    embed,
+    factorize,
+    power_exceeds,
+    unity_powers,
+)
 from .mat import Mat, char_poly, cycle_permutation_matrix, det
 from .poly import root_extension, roots_in_extensions
 
@@ -35,8 +42,8 @@ DEFAULT_M_MAX = 8
 # by one m x m determinant; this caps that size
 WITNESS_M_CAP = 512
 # bounds of the memo caches below: one sets or lemmas command asks for one
-# unity pool and sum set, and for the spectra at m = 2..m_max, so no command
-# with m_max <= 65 evicts an entry it will ask for again
+# sum set, and for the spectra at m = 2..m_max, so no command with
+# m_max <= 65 evicts an entry it will ask for again
 _SPECTRA_CACHE_SIZE = 64
 _UNITY_CACHE_SIZE = 8
 
@@ -225,7 +232,7 @@ def _pattern_spectra_cached(m, n, spec, ext_bound, field_bound):
     # evaluation needs GF(p^k); past the field bound, trial division still
     # finds every root of degree <= ext_bound over the base field
     _, k = _splitting_degree(m, spec.p)
-    if spec.p ** k > field_bound:
+    if power_exceeds(spec.p, k, field_bound):
         route = _spectra_by_char_poly
     else:
         route = _spectra_by_evaluation
@@ -247,17 +254,19 @@ def pattern_spectra(m, n, spec, ext_bound, field_bound=DEFAULT_FIELD_BOUND):
 
 
 @functools.lru_cache(maxsize=_UNITY_CACHE_SIZE)
-def _unity_pool(spec, ext_degree, field_bound):
-    """Nonzero elements of GF(q^d) for d <= ext_degree, deduplicated into
-    the compositum GF(q^lcm(1..d)).
-
-    Returns (compositum, pool, base_image) with pool entries
-    (image, root, home, order) ordered by (home degree, encoding) and
-    base_image mapping compositum encodings back to base elements.
-    """
+def _unity_sums_cached(n, spec, ext_degree, field_bound):
+    # the pool: each nonzero element of GF(q^d), d <= ext_degree, once, as
+    # (image in the compositum GF(q^lcm(1..d)), root, home, order), ordered
+    # by (home degree, encoding); base_image maps images back to spec
     top = 1
     for d in range(1, ext_degree + 1):
         top = math.lcm(top, d)
+        if top >> 64:
+            # an order of p^(2^64) exceeds every bound that fits in memory,
+            # and lcm(1..d) soon grows too long to compute or to print
+            raise FieldTooLarge(
+                f"compositum GF({spec.p}^({spec.l}*lcm(1..{ext_degree}))) "
+                f"exceeds the bound {field_bound}")
     try:
         comp = build_field(spec.p, spec.l * top, field_bound)
     except DegreeOutOfRange:
@@ -275,12 +284,6 @@ def _unity_pool(spec, ext_degree, field_bound):
             seen.add(image)
             pool.append((image, x, ext, ext.element_order(x)))
     base_image = {embed(b, spec, comp): b for b in spec.elements()}
-    return comp, tuple(pool), base_image
-
-
-@functools.lru_cache(maxsize=_UNITY_CACHE_SIZE)
-def _unity_sums_cached(n, spec, ext_degree, field_bound):
-    comp, pool, base_image = _unity_pool(spec, ext_degree, field_bound)
     add = comp._add
     witnessed = {}
     for size in range(1, n + 1):
@@ -339,19 +342,7 @@ def divisor_count(m):
     """Number of positive divisors."""
     if not isinstance(m, int) or m < 1:
         raise InputError(f"divisor count needs a positive integer, got {m!r}")
-    count = 1
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            count *= e + 1
-        f += 1 if f == 2 else 2
-    if m > 1:
-        count *= 2
-    return count
+    return math.prod(e + 1 for _, e in factorize(m))
 
 
 def gcd_divisibility(a, b, c):

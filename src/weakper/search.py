@@ -38,7 +38,7 @@ from .errors import (
     TraceNotRealizable,
     WeakperError,
 )
-from .gf import parse_field
+from .gf import parse_field, power_exceeds
 from .mat import (
     Mat,
     _basis_row,
@@ -54,13 +54,6 @@ from .poly import Poly, pow_mod
 TOOL_VERSION = "0.1.0"
 DEFAULT_BRUTE_CAP = 1 << 24
 MODES = ("constructive", "brute", "commuting")
-
-
-def _check_search_space(spec, n, cap):
-    q = spec.order
-    if q ** (n * n) > cap:
-        raise SearchSpaceTooLarge(
-            f"{q}^{n * n} candidate matrices exceed the bound {cap}")
 
 
 def _combine(spec, coeffs, vectors, size):
@@ -151,7 +144,9 @@ def _potent_splits(C, brute_cap):
     """Every split (P, N) of C with N^2 = 0 and P = C - N potent, with N
     in encoding order."""
     spec, n = C.spec, C.n
-    _check_search_space(spec, n, brute_cap)
+    if power_exceeds(spec.order, n * n, brute_cap):
+        raise SearchSpaceTooLarge(f"{spec.order}^{n * n} candidate matrices "
+                                  f"exceed the bound {brute_cap}")
     for ent in _square_zero_entries(spec, n):
         N = Mat._raw(spec, n, ent)
         P = C - N
@@ -517,7 +512,9 @@ def cached_summary(data, spec, n, mode, brute_cap=DEFAULT_BRUTE_CAP):
         records, version = raw["records"], raw["version"]
         if (raw["field"] != descriptor or type(raw["n"]) is not int
                 or raw["n"] != n or raw["mode"] != mode
-                or type(version) is not str or len(records) != q ** n):
+                or type(version) is not str
+                or power_exceeds(q, n, len(records))
+                or len(records) != q ** n):
             return None
         failed = _check_records(records, descriptor, n, q)
         order = [list(low) for low in itertools.product(range(q), repeat=n)]
@@ -544,9 +541,10 @@ def _records_in_order(report):
     """True when the records are exactly the q^n companions, in
     enumeration order."""
     q = parse_field(report.field).order
-    if report.total != q ** report.n:
+    total, n = report.total, report.n
+    if power_exceeds(q, n, total) or total != q ** n:
         return False
-    expected = itertools.product(range(q), repeat=report.n)
+    expected = itertools.product(range(q), repeat=n)
     return all(rec.form.low_coeffs == low
                for rec, low in zip(report.records, expected))
 

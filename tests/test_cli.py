@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,14 +128,6 @@ class TestSetsCommand:
         warm = invoke(capsys, *args)
         cold = cli_process(*args)
         assert (cold.returncode, cold.stdout, cold.stderr) == warm
-
-    def test_companions_enumerated_once(self, capsys):
-        companion.potent_trace_set.cache_clear()
-        code, _, _ = invoke(capsys, "sets", "--field", "3", "--n", "3",
-                            "--m-max", "4")
-        assert code == 0
-        info = companion.potent_trace_set.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
 
     def test_enumeration_bound_still_exits_3(self, capsys):
         code, out, err = invoke(capsys, "sets", "--field", "2", "--n", "21",
@@ -358,7 +351,53 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "verify", "--field", "3",
                               "--mode", "constructive")
         assert code == 2
-        assert "--n is required" in err
+        assert "the following arguments are required: --n" in err
+
+    @pytest.mark.parametrize("command", [
+        "verify", "sets", "conjecture", "lemmas"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x", None])
+    def test_bad_n_is_usage_error(self, capsys, command, value):
+        argv = [command, "--field", "3"]
+        if value is not None:
+            argv += ["--n", value]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"weakper {command}: error: "
+            + ("the following arguments are required: --n\n"
+               if value is None else
+               f"argument --n: must be an integer >= 1, got '{value}'\n"))
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_degree_below_one_is_input_error(self, capsys, degree):
+        code, out, err = invoke(capsys, "field-info", "--field",
+                                f"2^{degree}")
+        assert (code, out) == (2, "")
+        assert err == f"error: extension degree must be >= 1, got {degree}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sets", "--field", "2", "--n", "3", "--ext-bound", "20"),
+         "compositum GF(2^232792560) exceeds the bound 1048576"),
+        (("sets", "--field", "2", "--n", "3", "--ext-bound", "40"),
+         "compositum GF(2^5342931457063200) exceeds the bound 1048576"),
+        (("lemmas", "--field", "2", "--n", "3", "--ext-bound", "40"),
+         "compositum GF(2^5342931457063200) exceeds the bound 1048576"),
+        # lcm(1..47) >= 2^64: named by its formula, never computed in full
+        (("sets", "--field", "3", "--n", "2", "--ext-bound", "100000"),
+         "compositum GF(3^(1*lcm(1..100000))) exceeds the bound 1048576"),
+        (("sets", "--field", "2", "--n", str(10 ** 12)),
+         f"2^{10 ** 12} companion polynomials exceed the bound 1048576"),
+        (("verify", "--field", "2", "--n", str(10 ** 9), "--mode", "brute"),
+         f"2^{10 ** 9} companion matrices exceed the bound 1048576"),
+        (("conjecture", "--field", "3", "--n", str(10 ** 9)),
+         f"3^{10 ** 9} companion matrices exceed the bound 1048576"),
+    ])
+    def test_oversized_bound_exits_3_at_once(self, capsys, argv, message):
+        # q^k is never built: 2^232792560 alone takes over a second
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_non_monic_poly_is_input_error(self, capsys):
         code, _, _ = invoke(capsys, "decompose", "--field", "3",

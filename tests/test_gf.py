@@ -1,10 +1,16 @@
 """Field construction, descriptor parsing, arithmetic laws, embeddings."""
 
+import importlib
+import pkgutil
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+import weakper
 from weakper import gf
 from weakper.errors import (
+    BadDegree,
     DegreeOutOfRange,
     DivisionByZero,
     FieldMismatch,
@@ -16,14 +22,18 @@ from weakper.errors import (
 from weakper.gf import (
     build_field,
     embed,
+    factorize,
     is_prime,
     multiplicative_order,
     parse_field,
+    power_exceeds,
     prime_factors,
     roots_of_unity,
     subfield_lattice,
     unity_powers,
 )
+
+from weakper.rosets import divisor_count
 
 from conftest import exp_log_chain
 
@@ -320,6 +330,86 @@ def test_build_field_bounds():
 def test_field_memos_are_bounded():
     for memo in (gf._canonical_field, gf._embedding_powers):
         assert memo.cache_info().maxsize == 64
+
+
+def test_every_memo_is_bounded():
+    memos = {}
+    for info in pkgutil.iter_modules(weakper.__path__):
+        module = importlib.import_module(f"weakper.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                memos[f"{info.name}.{name}"] = value
+    assert "gf._canonical_field" in memos
+    unbounded = [name for name, memo in memos.items()
+                 if memo.cache_info().maxsize is None]
+    assert unbounded == []
+
+
+N_ORACLE = 10 ** 4
+
+
+def sieved_prime_factors(limit):
+    """Distinct prime factors of every n <= limit, by crossing out the
+    multiples of each prime in turn."""
+    factors = [[] for _ in range(limit + 1)]
+    for p in range(2, limit + 1):
+        if not factors[p]:
+            for multiple in range(p, limit + 1, p):
+                factors[multiple].append(p)
+    return factors
+
+
+def test_integer_kernels_match_sieves():
+    factors = sieved_prime_factors(N_ORACLE)
+    divisors = [0] * (N_ORACLE + 1)
+    for d in range(1, N_ORACLE + 1):
+        for multiple in range(d, N_ORACLE + 1, d):
+            divisors[multiple] += 1
+    for n in range(N_ORACLE + 1):
+        assert is_prime(n) == (n >= 2 and factors[n] == [n]), n
+        if n == 0:
+            continue
+        assert prime_factors(n) == tuple(factors[n]), n
+        assert divisor_count(n) == divisors[n], n
+        pairs = tuple(factorize(n))
+        assert [p for p, _ in pairs] == factors[n], n
+        assert all(n % p ** e == 0 and n % p ** (e + 1) != 0
+                   for p, e in pairs), n
+
+
+def test_is_prime_stops_at_the_smallest_factor():
+    # a trial division of the whole of 2 * (2^61 - 1) would not finish
+    assert not is_prime(2 * (2 ** 61 - 1))
+    assert not is_prime(1.0) and not is_prime(7.0) and not is_prime(None)
+
+
+def test_power_exceeds_is_exact():
+    for q in range(2, 20):
+        for k in range(12):
+            for bound in {0, 1, q ** k - 1, q ** k, q ** k + 1, 2 ** k,
+                          (2 * q) ** k}:
+                assert power_exceeds(q, k, bound) == (q ** k > bound), (
+                    q, k, bound)
+
+
+def test_power_exceeds_never_builds_a_huge_power():
+    start = time.perf_counter()
+    assert power_exceeds(2, 10 ** 18, 1 << 20)
+    assert power_exceeds(3, 2 ** 62, 10 ** 100)
+    assert not power_exceeds(2, 20, 1 << 20)
+    assert time.perf_counter() - start < 1
+
+
+def test_degree_below_one_is_input_error():
+    for l in (0, -1):
+        with pytest.raises(BadDegree):
+            build_field(2, l)
+        with pytest.raises(InputError):
+            parse_field(f"3^{l}")
+    # an order past the bound is still a limit, not an input error
+    assert not issubclass(DegreeOutOfRange, InputError)
+    with pytest.raises(DegreeOutOfRange):
+        build_field(2, 10 ** 12)
 
 
 def test_pow_at_zero_and_negative_exponents():
