@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run one decomposition mode over a grid of (field, dimension) cells.
 
-Writes one JSON report per cell and prints a one-line summary each, so
-large sweeps can be resumed or diffed cheaply.  Cells whose search space
-exceeds the caps are reported as skipped rather than aborting the sweep.
+Writes each cell's report as `weakper verify --out` writes it and prints a
+one-line summary each, so sweeps can be resumed or diffed cheaply.  Cells
+whose search space exceeds the caps are skipped, not fatal.
 """
 
 import argparse
@@ -68,7 +68,7 @@ def run_grid(args):
                 total_failed += 1
                 continue
             path = args.out_dir / f"{tag}.json"
-            path.write_bytes(report.to_json_bytes() + b"\n")
+            path.write_bytes(report.to_json())
             total_failed += report.failed
             print(f"{'OK  ' if not report.failed else 'FAIL'} {tag}: "
                   f"{report.decomposable}/{report.total} decomposable "

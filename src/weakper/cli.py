@@ -12,12 +12,10 @@ import argparse
 import gc
 import io
 import itertools
-import json
 import os
 import random
 import sys
 import tempfile
-from json.encoder import encode_basestring_ascii
 
 from .companion import (
     DEFAULT_ENUM_BOUND,
@@ -51,6 +49,7 @@ from .search import (
     DEFAULT_BRUTE_CAP,
     MODES,
     TOOL_VERSION,
+    _dumps,
     cached_summary,
     conjecture_scan,
     count_decompositions,
@@ -62,82 +61,6 @@ DEFAULT_SEED = 1729
 # stdout was closed before the report was written; the shell reports a
 # process that SIGPIPE killed with the same code
 EXIT_BROKEN_PIPE = 141
-
-
-def _dumps(payload):
-    """The text of every report: json.dumps(payload, indent=2,
-    sort_keys=True) plus a newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# stands in for a report's records in a payload written by _report_json
-_RECORDS = "\0records"
-
-
-def _record_layouts(n, newline):
-    """The two %-templates of a record of dimension n whose opening brace
-    sits at newline, laid out by json.dumps itself: one without a
-    witness, taking (*g, status), and one with, taking (*g, status,
-    *N.entries, *P.entries, commuting, *g, field, n, exponent, source) in
-    the sorted order of the keys.  The strings go in JSON-encoded."""
-    num, text = "\0d", "\0s"
-    ints = [num] * n
-    rows = [ints] * n
-    bare = {"g": ints, "status": text}
-    full = dict(bare, witness={
-        "N": rows, "P": rows, "commuting": text, "companion_coeffs": ints,
-        "field": text, "n": num, "potency_exponent": num, "source": text})
-
-    def layout(skeleton):
-        return (json.dumps(skeleton, indent=2, sort_keys=True)
-                .replace("\n", newline)
-                .replace(json.dumps(num), "%d")
-                .replace(json.dumps(text), "%s"))
-
-    return layout(bare), layout(full)
-
-
-def _report_json(payload, report, depth):
-    """_dumps(payload), with report.to_dict()["records"] where payload
-    holds _RECORDS at nesting depth depth.  Each record is one % on its
-    per-n layout, so no dict is built per record."""
-    head, tail = _dumps(payload).split(json.dumps(_RECORDS))
-    if not report.records:
-        return head + "[]" + tail
-    n = report.n
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    bare, full = _record_layouts(n, inner)
-    enc = encode_basestring_ascii
-    spec = field = None
-    texts = []
-    for rec in report.records:
-        g = rec.form.low_coeffs
-        w = rec.witness
-        if w is None:
-            texts.append(bare % (*g, enc(rec.status)))
-            continue
-        if rec.form.spec is not spec:
-            spec = rec.form.spec
-            field = enc(spec.descriptor())
-        texts.append(full % (
-            *g, enc(rec.status), *w.nilpotent.entries, *w.potent.entries,
-            "true" if w.commuting else "false", *g, field, n, w.exponent,
-            enc(w.source)))
-    return (head + "[" + inner + ("," + inner).join(texts) + outer + "]"
-            + tail)
-
-
-def _report_payload(report):
-    """report.to_dict(), with _RECORDS in place of its records."""
-    return {
-        "field": report.field,
-        "n": report.n,
-        "mode": report.mode,
-        "records": _RECORDS,
-        "summary": report.counts,
-        "version": report.version,
-    }
 
 
 def _csv_text(summary):
@@ -280,10 +203,7 @@ def _cmd_decompose(args):
             f"g {','.join(str(c) for c in payload['g'])},1",
             f"status {payload['status']}"]
     if witness is not None:
-        text.append(f"P {witness.potent.serialize()}")
-        text.append(f"N {witness.nilpotent.serialize()}")
-        text.append(f"potency_exponent {witness.exponent}")
-        text.append(f"commuting {witness.commuting}")
+        text.extend(witness.text_lines())
     _emit(args, _dumps(payload).encode("utf-8"), summary, text)
     return 0 if witness is not None else 1
 
@@ -325,13 +245,10 @@ def _cmd_verify(args):
     if summary is None:
         report = verify_field(n, spec, args.mode, args.enum_cap,
                               args.brute_cap)
-        payload_bytes = _report_json(_report_payload(report), report,
-                                     1).encode("utf-8")
+        payload_bytes = report.to_json()
         if cache_dir:
             _cache_store(cache_dir, key, payload_bytes)
-        summary = {"field": report.field, "n": report.n,
-                   "mode": report.mode, **report.counts,
-                   "version": report.version}
+        summary = report.summary
     text = [f"field {summary['field']} n {summary['n']} "
             f"mode {summary['mode']}",
             f"total {summary['total']} decomposable "
@@ -391,11 +308,6 @@ def _cmd_conjecture(args):
     spec = parse_field(args.field)
     n = args.n
     scan = conjecture_scan(n, spec, args.enum_cap)
-    # scan.serialize(), with the records left to _report_json
-    payload = {
-        "report": _report_payload(scan.report),
-        "non_decomposable": [list(g) for g in scan.non_decomposable],
-    }
     summary = {
         "field": scan.report.field,
         "n": scan.report.n,
@@ -411,8 +323,7 @@ def _cmd_conjecture(args):
         + (";".join(",".join(str(c) for c in g)
                     for g in scan.non_decomposable) or "none"),
     ]
-    _emit(args, _report_json(payload, scan.report, 2).encode("utf-8"),
-          summary, text)
+    _emit(args, scan.to_json(), summary, text)
     return 0
 
 
@@ -529,7 +440,7 @@ def _cap(text):
 
 
 def _dimension(text):
-    """A matrix dimension: an integer >= 1."""
+    """A matrix dimension or an extension degree: an integer >= 1."""
     return _at_least(text, 1)
 
 
@@ -554,9 +465,11 @@ def build_parser():
 
     # read by sets and lemmas only
     spectra = argparse.ArgumentParser(add_help=False)
-    spectra.add_argument("--ext-bound", type=int, default=None,
+    spectra.add_argument("--ext-bound", type=_dimension, default=None,
                          help="max extension degree (default: n)")
-    spectra.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
+    # no cycle is shorter than 2
+    spectra.add_argument("--m-max", type=lambda text: _at_least(text, 2),
+                         default=DEFAULT_M_MAX)
 
     parser = argparse.ArgumentParser(
         prog="weakper",

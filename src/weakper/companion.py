@@ -191,6 +191,13 @@ class Witness(collections.namedtuple(
             "source": self.source,
         }
 
+    def text_lines(self):
+        """The lines decompose --format text prints for this witness."""
+        return [f"P {self.potent.serialize()}",
+                f"N {self.nilpotent.serialize()}",
+                f"potency_exponent {self.exponent}",
+                f"commuting {self.commuting}"]
+
 
 def trace_matched_decomposition(form):
     """Decompose a companion matrix as potent + square-zero by matching

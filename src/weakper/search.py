@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .companion import (
     DEFAULT_ENUM_BOUND,
@@ -315,23 +316,100 @@ class VerifyReport(collections.namedtuple(
     @property
     def counts(self):
         """The report's summary: {total, decomposable, failed}."""
-        total, decomposable = self.total, self.decomposable
-        return {"total": total, "decomposable": decomposable,
-                "failed": total - decomposable}
+        return _counts(self.total, self.failed)
+
+    @property
+    def summary(self):
+        """What verify prints as csv or text: the header and the counts."""
+        return _summary(self._asdict(), self.counts)
 
     def to_dict(self):
-        return {
-            "field": self.field,
-            "n": self.n,
-            "mode": self.mode,
-            "records": [r.serialize() for r in self.records],
-            "summary": self.counts,
-            "version": self.version,
-        }
+        return dict(_report_payload(self),
+                    records=[r.serialize() for r in self.records])
 
-    def to_json_bytes(self):
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+    def to_json(self):
+        """The bytes verify --out writes: _dumps(self.to_dict())."""
+        return _report_json(_report_payload(self), self, 1).encode("utf-8")
+
+
+def _counts(total, failed):
+    return {"total": total, "decomposable": total - failed, "failed": failed}
+
+
+def _summary(header, counts):
+    """The summary verify prints: counts amid the field, n, mode and
+    version of header, a report's fields or its decoded JSON."""
+    return {"field": header["field"], "n": header["n"],
+            "mode": header["mode"], **counts, "version": header["version"]}
+
+
+def _dumps(payload):
+    """The text of every report: json.dumps(payload, indent=2,
+    sort_keys=True) plus a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# stands in for a report's records in a payload written by _report_json
+_RECORDS = "\0records"
+
+
+def _report_payload(report):
+    """report.to_dict(), with _RECORDS in place of its records."""
+    return dict(report._asdict(), records=_RECORDS, summary=report.counts)
+
+
+def _record_layouts(n, newline):
+    """The two %-templates of a record of dimension n whose opening brace
+    sits at newline, laid out by json.dumps itself: one without a
+    witness, taking (*g, status), and one with, taking (*g, status,
+    *N.entries, *P.entries, commuting, *g, field, n, exponent, source) in
+    the sorted order of the keys.  The strings go in JSON-encoded."""
+    num, text = "\0d", "\0s"
+    ints = [num] * n
+    rows = [ints] * n
+    bare = {"g": ints, "status": text}
+    full = dict(bare, witness={
+        "N": rows, "P": rows, "commuting": text, "companion_coeffs": ints,
+        "field": text, "n": num, "potency_exponent": num, "source": text})
+
+    def layout(skeleton):
+        return (json.dumps(skeleton, indent=2, sort_keys=True)
+                .replace("\n", newline)
+                .replace(json.dumps(num), "%d")
+                .replace(json.dumps(text), "%s"))
+
+    return layout(bare), layout(full)
+
+
+def _report_json(payload, report, depth):
+    """_dumps(payload), with report.to_dict()["records"] where payload
+    holds _RECORDS at nesting depth depth.  Each record is one % on its
+    per-n layout, so no dict is built per record."""
+    head, tail = _dumps(payload).split(json.dumps(_RECORDS))
+    if not report.records:
+        return head + "[]" + tail
+    n = report.n
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    bare, full = _record_layouts(n, inner)
+    enc = encode_basestring_ascii
+    spec = field = None
+    texts = []
+    for rec in report.records:
+        g = rec.form.low_coeffs
+        w = rec.witness
+        if w is None:
+            texts.append(bare % (*g, enc(rec.status)))
+            continue
+        if rec.form.spec is not spec:
+            spec = rec.form.spec
+            field = enc(spec.descriptor())
+        texts.append(full % (
+            *g, enc(rec.status), *w.nilpotent.entries, *w.potent.entries,
+            "true" if w.commuting else "false", *g, field, n, w.exponent,
+            enc(w.source)))
+    return (head + "[" + inner + ("," + inner).join(texts) + outer + "]"
+            + tail)
 
 
 def _record(form, mode, brute_cap):
@@ -377,10 +455,16 @@ class ConjectureScan(collections.namedtuple(
     __slots__ = ()
 
     def serialize(self):
-        return {
-            "report": self.report.to_dict(),
-            "non_decomposable": [list(g) for g in self.non_decomposable],
-        }
+        return self._payload(self.report.to_dict())
+
+    def to_json(self):
+        """The bytes conjecture --out writes: _dumps(self.serialize())."""
+        return _report_json(self._payload(_report_payload(self.report)),
+                            self.report, 2).encode("utf-8")
+
+    def _payload(self, report):
+        return {"report": report,
+                "non_decomposable": [list(g) for g in self.non_decomposable]}
 
 
 def conjecture_scan(n, spec, enum_bound=DEFAULT_ENUM_BOUND):
@@ -440,13 +524,12 @@ def _check_records(records, descriptor, n, q):
     return failed
 
 
-def load_report(data):
-    """Rebuild a VerifyReport from its JSON serialization; InputError when
-    it is not JSON, its header is not one verify writes (a mode outside
-    MODES, a version that is not a str) or a record is not well formed
-    (_check_records).
-    Whether the records are the q^n companions in order, and whether their
-    witnesses hold, is reverify_report's to check."""
+def _decode_report(data, header_spec):
+    """(raw, spec, failed): the report data decoded, header_spec(raw) and
+    the g of each not_decomposable record.  InputError when data is not
+    JSON; KeyError, TypeError or ValueError when the header is not one
+    verify writes (n an int >= 1, a mode in MODES, a str version) or a
+    record is malformed (_check_records)."""
     try:
         if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")
@@ -454,17 +537,35 @@ def load_report(data):
     # json.loads raises RecursionError on arrays nested too deep
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"report is not valid JSON: {exc}") from None
+    spec = header_spec(raw)
+    n = raw["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    mode, version = raw["mode"], raw["version"]
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if type(version) is not str:
+        raise ValueError(f"version must be a str, got {version!r}")
+    failed = _check_records(raw["records"], spec.descriptor(), n, spec.order)
+    return raw, spec, failed
+
+
+def _in_enumeration_order(gs, q, n):
+    """True when gs, the g of each record as lists or tuples, are exactly
+    the q^n companions of dimension n, in enumeration order."""
+    return (not power_exceeds(q, n, len(gs)) and list(map(tuple, gs))
+            == list(itertools.product(range(q), repeat=n)))
+
+
+def load_report(data):
+    """Rebuild a VerifyReport from its JSON serialization; InputError when
+    it is not JSON or _decode_report finds its header or a record malformed.
+    Whether the records are the q^n companions in order, and whether their
+    witnesses hold, is reverify_report's to check."""
     try:
-        spec = parse_field(raw["field"])
+        raw, spec, _ = _decode_report(
+            data, lambda raw: parse_field(raw["field"]))
         n = raw["n"]
-        if type(n) is not int or n < 1:
-            raise ValueError(f"n must be an int >= 1, got {n!r}")
-        mode, version = raw["mode"], raw["version"]
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if type(version) is not str:
-            raise ValueError(f"version must be a str, got {version!r}")
-        _check_records(raw["records"], spec.descriptor(), n, spec.order)
         records = []
         for rec in raw["records"]:
             form = companion_of(Poly._raw(spec, tuple(rec["g"]) + (1,)))
@@ -481,79 +582,56 @@ def load_report(data):
                     source=w["source"],
                 )
             records.append(CompanionRecord(form, rec["status"], witness))
-        report = VerifyReport(
-            field=raw["field"],
-            n=n,
-            mode=mode,
-            records=tuple(records),
-            version=version,
-        )
+        return VerifyReport(raw["field"], n, raw["mode"], tuple(records),
+                            raw["version"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"report JSON is malformed: {exc}") from None
-    return report
 
 
 def cached_summary(data, spec, n, mode, brute_cap=DEFAULT_BRUTE_CAP):
     """The summary of the stored verify report data (JSON bytes) when it
     answers the request (spec, n, mode), or None when it does not.
 
-    It answers when its header names that field, n and mode and a str
-    version, its records are well formed (_check_records) and are exactly
+    It answers when its header names that field, n and mode, it decodes
+    as load_report decodes it (_decode_report), its records are exactly
     the q^n companions in enumeration order, its summary counts its
     records, and each not_decomposable record is reproduced when its
     companion runs through the mode's route again, as verify_field runs
     it.  Everything is decided on the decoded JSON: only the companions of
     not_decomposable records are built, and no witness is re-verified.
     """
-    descriptor = spec.descriptor()
-    q = spec.order
+    def requested(raw):
+        if (raw["field"] != spec.descriptor() or raw["n"] != n
+                or raw["mode"] != mode):
+            raise ValueError("the report answers another request")
+        return spec
+
     try:
-        raw = json.loads(data.decode("utf-8"))
-        records, version = raw["records"], raw["version"]
-        if (raw["field"] != descriptor or type(raw["n"]) is not int
-                or raw["n"] != n or raw["mode"] != mode
-                or type(version) is not str
-                or power_exceeds(q, n, len(records))
-                or len(records) != q ** n):
-            return None
-        failed = _check_records(records, descriptor, n, q)
-        order = [list(low) for low in itertools.product(range(q), repeat=n)]
-        if [rec["g"] for rec in records] != order:
-            return None
-        total = len(records)
-        counts = {"total": total, "decomposable": total - len(failed),
-                  "failed": len(failed)}
+        raw, _, failed = _decode_report(data, requested)
+        records = raw["records"]
+        counts = _counts(len(records), len(failed))
         stored = raw["summary"]
-        if stored != counts or set(map(type, stored.values())) != {int}:
+        if (not _in_enumeration_order([rec["g"] for rec in records],
+                                      spec.order, n)
+                or stored != counts
+                or set(map(type, stored.values())) != {int}):
             return None
-    # json.loads raises RecursionError on arrays nested too deep
-    except (KeyError, TypeError, ValueError, RecursionError):
+    except (InputError, KeyError, TypeError, ValueError):
         return None
     for g in failed:
         form = companion_of(Poly._raw(spec, tuple(g) + (1,)))
         if _record(form, mode, brute_cap).status != "not_decomposable":
             return None
-    return {"field": descriptor, "n": n, "mode": mode, **counts,
-            "version": version}
-
-
-def _records_in_order(report):
-    """True when the records are exactly the q^n companions, in
-    enumeration order."""
-    q = parse_field(report.field).order
-    total, n = report.total, report.n
-    if power_exceeds(q, n, total) or total != q ** n:
-        return False
-    expected = itertools.product(range(q), repeat=n)
-    return all(rec.form.low_coeffs == low
-               for rec, low in zip(report.records, expected))
+    return _summary(raw, counts)
 
 
 def reverify_report(report):
     """Re-check every witness in a (possibly reloaded) report; True when
     every decomposable record's witness still verifies and the records are
     exactly the q^n companions, in enumeration order."""
-    if not _records_in_order(report):
+    if not _in_enumeration_order(
+            [rec.form.low_coeffs for rec in report.records],
+            parse_field(report.field).order, report.n):
         return False
     for rec in report.records:
         if rec.status == "decomposable":

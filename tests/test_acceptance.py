@@ -395,10 +395,10 @@ def test_criterion_10_brute_grid_is_exact_and_reconfirmable():
     reports, skipped = brute_reports()
     problems = []
     for key, report in reports.items():
-        reloaded = load_report(report.to_json_bytes())
+        reloaded = load_report(report.to_json())
         if not reverify_report(reloaded):
             problems.append((key, "reloaded witnesses failed re-check"))
-        if reloaded.to_json_bytes() != report.to_json_bytes():
+        if reloaded.to_json() != report.to_json():
             problems.append((key, "serialization not stable"))
     gf2_n2 = reports.get((2, 2))
     outcome = (f"GF(2) n=2 outcome: {gf2_n2.decomposable}/{gf2_n2.total} "
@@ -413,14 +413,14 @@ def test_criterion_11_reports_are_byte_identical_across_runs():
     diffs = []
     for q, n in CONSTRUCTIVE_GRID:
         spec = field_of_order(q)
-        a = verify_field(n, spec, "constructive").to_json_bytes()
-        b = verify_field(n, spec, "constructive").to_json_bytes()
+        a = verify_field(n, spec, "constructive").to_json()
+        b = verify_field(n, spec, "constructive").to_json()
         if a != b:
             diffs.append(("constructive", q, n))
     for q, n in [(3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]:
         spec = field_of_order(q)
-        a = verify_field(n, spec, "brute").to_json_bytes()
-        b = verify_field(n, spec, "brute").to_json_bytes()
+        a = verify_field(n, spec, "brute").to_json()
+        b = verify_field(n, spec, "brute").to_json()
         if a != b:
             diffs.append(("brute", q, n))
     first, skipped_a = brute_reports()
@@ -428,6 +428,6 @@ def test_criterion_11_reports_are_byte_identical_across_runs():
     if skipped_a != skipped_b:
         diffs.append(("skip set unstable", skipped_a, skipped_b))
     for key in first:
-        if first[key].to_json_bytes() != second[key].to_json_bytes():
+        if first[key].to_json() != second[key].to_json():
             diffs.append(("brute grid", key))
     record(11, not diffs, f"doubled every report build; diffs: {diffs or 'none'}")

@@ -21,8 +21,6 @@ from weakper import companion, gf, mat, search
 from weakper.cli import (
     EXIT_BROKEN_PIPE,
     _randrange_draws,
-    _report_json,
-    _report_payload,
     _verify_cache_key,
     run,
 )
@@ -36,6 +34,8 @@ from weakper.search import (
     TOOL_VERSION,
     CompanionRecord,
     VerifyReport,
+    _report_json,
+    _report_payload,
     conjecture_scan,
     verify_field,
 )
@@ -472,7 +472,22 @@ class TestExitCodes:
                                 "--m-max", m_max)
         assert code == 2
         assert out == ""
-        assert "pattern length bound must be an integer >= 2" in err
+        assert err.endswith(f"weakper {command}: error: argument --m-max: "
+                            f"must be an integer >= 2, got '{m_max}'\n")
+
+    @pytest.mark.parametrize("command", ["sets", "lemmas"])
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--ext-bound", "0", 1), ("--ext-bound", "-2", 1),
+        ("--ext-bound", "x", 1), ("--m-max", "1", 2), ("--m-max", "x", 2)])
+    def test_spectra_bound_is_usage_error_before_any_work(
+            self, capsys, command, flag, value, low):
+        # 2^30 companions exceed the enumeration bound (exit 3), so only a
+        # bound argparse checks is reported first
+        code, out, err = invoke(capsys, command, "--field", "2", "--n", "30",
+                                flag, value)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"weakper {command}: error: argument {flag}: "
+                            f"must be an integer >= {low}, got '{value}'\n")
 
     def test_seed_belongs_to_lemmas(self, capsys):
         code, _, _ = invoke(capsys, "sets", "--field", "3", "--n", "2",

@@ -222,9 +222,9 @@ class TestPotentPartMemo:
         spec = request.getfixturevalue(field)
         for memo in self.MEMOS:
             memo.cache_clear()
-        cold = verify_field(n, spec, "constructive").to_json_bytes()
+        cold = verify_field(n, spec, "constructive").to_json()
         hits = [memo.cache_info().hits for memo in self.MEMOS]
-        assert verify_field(n, spec, "constructive").to_json_bytes() == cold
+        assert verify_field(n, spec, "constructive").to_json() == cold
         assert all(memo.cache_info().hits > before
                    for memo, before in zip(self.MEMOS, hits))
 

@@ -60,6 +60,20 @@ def test_verify_grid(tmp_path):
         assert reverify_report(report)
 
 
+def test_verify_grid_writes_what_verify_out_writes(tmp_path):
+    run_script("verify_grid.py", "--fields", "2,3", "--n", "2", "--mode",
+               "brute", "--out-dir", str(tmp_path / "grid"))
+    for field, tag in (("2", "2^1_0,1"), ("3", "3^1_0,1")):
+        out = tmp_path / f"{field}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakper.cli", "verify", "--field", field,
+             "--n", "2", "--mode", "brute", "--out", str(out)],
+            capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert ((tmp_path / "grid" / f"{tag}_n2_brute.json").read_bytes()
+                == out.read_bytes())
+
+
 @pytest.mark.parametrize("name, argv, message", [
     ("conjecture_scan.py", ("--n", "0"),
      "argument --n: must be an integer >= 1, got '0'"),

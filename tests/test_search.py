@@ -26,6 +26,7 @@ from weakper.search import (
     _independent_rows,
     _square_zero_entries,
     brute_commuting_decompose,
+    cached_summary,
     brute_decompose,
     conjecture_scan,
     count_decompositions,
@@ -400,35 +401,35 @@ class TestDecompose:
 class TestReports:
     def test_json_round_trip(self, gf3):
         r = verify_field(2, gf3, "constructive")
-        rt = load_report(r.to_json_bytes())
+        rt = load_report(r.to_json())
         assert rt == r
         assert reverify_report(rt)
 
     def test_byte_identical_reruns(self, gf3, gf4):
-        assert (verify_field(2, gf3, "constructive").to_json_bytes()
-                == verify_field(2, gf3, "constructive").to_json_bytes())
-        assert (verify_field(2, gf4, "brute").to_json_bytes()
-                == verify_field(2, gf4, "brute").to_json_bytes())
+        assert (verify_field(2, gf3, "constructive").to_json()
+                == verify_field(2, gf3, "constructive").to_json())
+        assert (verify_field(2, gf4, "brute").to_json()
+                == verify_field(2, gf4, "brute").to_json())
 
     def test_tampered_witness_detected(self, gf3):
-        blob = verify_field(2, gf3, "constructive").to_json_bytes()
+        blob = verify_field(2, gf3, "constructive").to_json()
         data = json.loads(blob)
         cell = data["records"][0]["witness"]["P"][0][0]
         data["records"][0]["witness"]["P"][0][0] = (cell + 1) % 3
         assert not reverify_report(load_report(json.dumps(data)))
 
     def test_truncated_record_list_detected(self, gf3):
-        data = json.loads(verify_field(2, gf3, "constructive").to_json_bytes())
+        data = json.loads(verify_field(2, gf3, "constructive").to_json())
         data["records"] = data["records"][:-1]
         assert not reverify_report(load_report(json.dumps(data)))
 
     def test_duplicated_record_detected(self, gf3):
-        data = json.loads(verify_field(2, gf3, "constructive").to_json_bytes())
+        data = json.loads(verify_field(2, gf3, "constructive").to_json())
         data["records"][1] = data["records"][0]
         assert not reverify_report(load_report(json.dumps(data)))
 
     def test_reordered_records_detected(self, gf3):
-        data = json.loads(verify_field(2, gf3, "constructive").to_json_bytes())
+        data = json.loads(verify_field(2, gf3, "constructive").to_json())
         data["records"].reverse()
         assert not reverify_report(load_report(json.dumps(data)))
 
@@ -447,18 +448,46 @@ class TestReports:
     @pytest.mark.parametrize("mutation", RECORD_MUTATIONS)
     def test_malformed_record_rejected(self, gf2, mutation):
         # the records a verify --cache hit rejects (tests/test_cli.py)
-        data = json.loads(verify_field(3, gf2, "commuting").to_json_bytes())
+        data = json.loads(verify_field(3, gf2, "commuting").to_json())
         assert reverify_report(load_report(json.dumps(data)))
         RECORD_MUTATIONS[mutation](data)
         with pytest.raises(InputError, match="malformed"):
             load_report(json.dumps(data))
+
+    ORDER_MUTATIONS = {
+        "truncated": lambda recs: recs[:-1],
+        "duplicated": lambda recs: recs[:1] + recs[:-1],
+        "reordered": lambda recs: recs[::-1],
+        "one record too long": lambda recs: recs + recs[-1:],
+    }
+
+    @pytest.mark.parametrize("reader", ["cached_summary", "reverify_report"])
+    @pytest.mark.parametrize("mutation", ORDER_MUTATIONS)
+    def test_records_out_of_enumeration_order_rejected(self, gf2, reader,
+                                                       mutation):
+        # GF(2) n=3 commuting has records of both statuses; the summary is
+        # recounted, so only the order of the records is wrong
+        def accepts(blob):
+            if reader == "cached_summary":
+                return cached_summary(blob, gf2, 3, "commuting") is not None
+            return reverify_report(load_report(blob))
+
+        data = json.loads(verify_field(3, gf2, "commuting").to_json())
+        assert accepts(json.dumps(data).encode())
+        data["records"] = self.ORDER_MUTATIONS[mutation](data["records"])
+        failed = sum(rec["status"] == "not_decomposable"
+                     for rec in data["records"])
+        total = len(data["records"])
+        data["summary"] = {"total": total, "decomposable": total - failed,
+                           "failed": failed}
+        assert not accepts(json.dumps(data).encode())
 
     @pytest.mark.parametrize("key,value", [
         ("mode", 5), ("mode", ["brute"]), ("mode", "nonsense"),
         ("version", 7)], ids=["mode-int", "mode-list", "mode-unknown",
                               "version-int"])
     def test_header_verify_never_writes_rejected(self, gf2, key, value):
-        data = json.loads(verify_field(2, gf2, "brute").to_json_bytes())
+        data = json.loads(verify_field(2, gf2, "brute").to_json())
         assert reverify_report(load_report(json.dumps(data)))
         data[key] = value
         with pytest.raises(InputError, match="malformed"):
