@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from weakper.cli import _dimension
+from weakper.cli import _at_least, _dimension
 from weakper.errors import EnumerationTooLarge
 from weakper.gf import build_field, is_prime
 from weakper.search import conjecture_scan
@@ -33,10 +33,16 @@ def canonical_fields(max_order):
     return sorted(specs, key=lambda s: s.order)
 
 
+def field_order(text):
+    """A bound on the field order, an integer >= 2: a smaller one would
+    sweep no field and report no obstruction."""
+    return _at_least(text, 2)
+
+
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=_dimension, default=2)
-    ap.add_argument("--max-order", type=int, default=5)
+    ap.add_argument("--max-order", type=field_order, default=5)
     ap.add_argument("--out", help="optional JSON summary path")
     return ap.parse_args(argv)
 

@@ -488,7 +488,9 @@ def _check_records(records, descriptor, n, q):
     [0, q), g of length n.  Whether the records are the q^n companions in
     order, and whether a witness holds, is left to the caller.
     """
-    shape = [n] * (2 * n)
+    # built once a record's g has length n: a header n larger than the
+    # data allocates nothing
+    shape = None
     entries = []
     put = entries.extend
     failed = []
@@ -503,6 +505,8 @@ def _check_records(records, descriptor, n, q):
         w = rec["witness"]
         P, coeffs = w["P"], w["companion_coeffs"]
         rows = P + w["N"]
+        if shape is None and len(g) == n:
+            shape = [n] * (2 * n)
         # a decoded row that is no list is a str or a dict, and neither
         # yields ints below
         if (rec["status"] != "decomposable" or len(g) != n or coeffs != g

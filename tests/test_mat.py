@@ -131,39 +131,63 @@ class TestArithmetic:
 
 
 class TestPrimeFieldProduct:
-    """Over GF(p), Mat.__mul__ sums plain integer products and reduces
-    each entry once."""
+    """Over GF(p), Mat arithmetic and _reduce run on plain integers and
+    reduce each entry once: the product is straight-line code for
+    n <= 4 and a zero-skipping loop above."""
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 2 ** 31 - 1])
     def test_matches_the_element_loop(self, p, seeded_rng):
-        spec = build_field(p, 1)
-        for n in range(1, 6):
+        spec = build_field(p, 1, bound=p)
+        assert mat._STRAIGHT_LINE_N == 4
+        for n in range(1, 7):  # both sides of the straight-line cut
             cases = [Mat.zeros(spec, n), Mat.identity(spec, n)]
             cases += [random_matrix(seeded_rng, spec, n) for _ in range(3)]
             for _ in range(2):
                 low = [seeded_rng.randrange(p) for _ in range(n)]
                 cases.append(companion_of(Poly(spec, low + [1])).matrix)
+                # a last-column factor, square-zero as its last entry is 0
+                column = [seeded_rng.randrange(p) for _ in range(n - 1)]
+                square_zero = Mat.from_rows(spec, [
+                    [0] * (n - 1) + [c] for c in column + [0]])
+                assert is_square_zero(square_zero)
+                cases.append(square_zero)
             for a in cases:
                 for b in cases:
                     assert a * b == product_by_elements(a, b), (a, b)
+                    assert a + b == Mat(spec, n, map(
+                        spec._add, a.entries, b.entries)), (a, b)
+                    assert a - b == Mat(spec, n, map(
+                        spec._sub, a.entries, b.entries)), (a, b)
 
     def test_makes_no_element_product(self, gf4, gf5, seeded_rng,
                                       monkeypatch):
-        calls = [0]
-        element_mul = FieldSpec._mul
+        calls = []
+        for name in ("_add", "_sub", "_neg", "_mul"):
+            def counted(spec, *args, name=name, op=getattr(FieldSpec, name)):
+                calls.append(name)
+                return op(spec, *args)
 
-        def counted(spec, x, y):
-            calls[0] += 1
-            return element_mul(spec, x, y)
-
-        monkeypatch.setattr(FieldSpec, "_mul", counted)
-        for n in range(1, 6):
+            monkeypatch.setattr(FieldSpec, name, counted)
+        for n in range(1, 7):
             a = random_matrix(seeded_rng, gf5, n)
-            a * random_matrix(seeded_rng, gf5, n)
-        assert calls == [0]
+            b = random_matrix(seeded_rng, gf5, n)
+            a * b, a + b, a - b
+            min_poly(a), det(a)
+            linear_combination([a.entries, b.entries], (a + b).entries, gf5)
+        assert calls == []
         # an extension field still multiplies through its tables
         random_matrix(seeded_rng, gf4, 3) * Mat.identity(gf4, 3)
-        assert calls[0] > 0
+        assert "_mul" in calls
+
+    def test_one_compiled_product_per_n(self, gf2, gf4, gf5, seeded_rng):
+        # the generated source depends on n alone: every prime shares it,
+        # and neither n > 4 nor an extension field compiles one
+        mat._straight_product.cache_clear()
+        for spec in (gf2, gf4, gf5, build_field(13, 1)):
+            for n in range(1, 7):
+                random_matrix(seeded_rng, spec, n) * Mat.identity(spec, n)
+        info = mat._straight_product.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
 
 
 class TestProductBudgets:
@@ -460,7 +484,7 @@ class TestPotencyMemo:
     MEMOS = (mat._squarefree, min_poly_exponent)
 
     def test_memos_are_bounded(self):
-        for memo in self.MEMOS:
+        for memo in self.MEMOS + (mat._straight_product,):
             assert memo.cache_info().maxsize is not None
 
     def test_key_includes_the_field(self, gf3, gf5):

@@ -89,11 +89,21 @@ def test_verify_grid_writes_what_verify_out_writes(tmp_path):
      "argument --brute-cap: must be an integer >= 0, got '-1'"),
     ("verify_grid.py", ("--n", "2", "--enum-cap", "-1"),
      "argument --enum-cap: must be an integer >= 0, got '-1'"),
+    ("conjecture_scan.py", ("--max-order", "-1"),
+     "argument --max-order: must be an integer >= 2, got '-1'"),
+    ("conjecture_scan.py", ("--max-order", "0"),
+     "argument --max-order: must be an integer >= 2, got '0'"),
+    ("conjecture_scan.py", ("--max-order", "1"),
+     "argument --max-order: must be an integer >= 2, got '1'"),
+    ("conjecture_scan.py", ("--max-order", "x"),
+     "argument --max-order: must be an integer >= 2, got 'x'"),
 ])
 def test_invalid_argument_is_usage_error(tmp_path, name, argv, message):
     out_dir = tmp_path / "reports"
-    where = (("--fields", "2,3", "--out-dir", str(out_dir))
-             if name == "verify_grid.py" else ("--max-order", "3"))
+    if name == "verify_grid.py":
+        where = ("--fields", "2,3", "--out-dir", str(out_dir))
+    else:
+        where = () if "--max-order" in argv else ("--max-order", "3")
     proc = run_script(name, *argv, *where)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines()[-1] == f"{name}: error: {message}"

@@ -441,6 +441,17 @@ class TestReports:
         with pytest.raises(InputError):
             load_report("[" * 100000 + "]" * 100000)
 
+    @pytest.mark.parametrize("n", [10 ** 9, 10 ** 18])
+    def test_header_n_past_the_data_allocates_nothing(self, gf2, n):
+        # no record's g has length n, so nothing of size n is built: the
+        # records are malformed, and without records nothing is enumerated
+        data = json.loads(verify_field(3, gf2, "commuting").to_json())
+        data["n"] = n
+        with pytest.raises(InputError, match="malformed"):
+            load_report(json.dumps(data))
+        data["records"] = []
+        assert not reverify_report(load_report(json.dumps(data)))
+
     def test_missing_keys_rejected(self):
         with pytest.raises(InputError):
             load_report(json.dumps({"field": "3^1/0,1"}))
