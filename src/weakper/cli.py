@@ -8,7 +8,6 @@ CSV carries summaries only, text is a terse human rendering.  Exit codes:
 was written.
 """
 
-import argparse
 import gc
 import io
 import itertools
@@ -16,6 +15,7 @@ import os
 import random
 import sys
 import tempfile
+import types
 
 from .companion import (
     DEFAULT_ENUM_BOUND,
@@ -427,8 +427,11 @@ def _at_least(text, low):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if value < low:
+        value = None
+    if value is None or value < low:
+        # imported here: a well-formed command line never reaches this
+        import argparse
+
         raise argparse.ArgumentTypeError(message)
     return value
 
@@ -444,80 +447,155 @@ def _dimension(text):
     return _at_least(text, 1)
 
 
+# The one grammar of the command line.  Each option is (flag, kind,
+# default, required, help); its kind is str (any text), int (any integer),
+# an integer k (an integer >= k), a tuple (one of its choices) or bool (a
+# flag that takes no value).  build_parser() and _parse_direct() both read
+# it.
+_COMMON = (
+    ("--field", str, None, True,
+     "field descriptor, e.g. 3, 2^4, or 2^2/1,1,1"),
+    ("--out", str, None, False, "write the report to this path"),
+    ("--format", ("json", "csv", "text"), "json", False, None),
+)
+# read by the subcommands that enumerate all q^n companions
+_COMPANIONS = (
+    ("--n", 1, None, True, None),
+    ("--enum-cap", 0, DEFAULT_ENUM_BOUND, False, None),
+)
+# read by the subcommands that run a brute search
+_BRUTE_CAP = (
+    ("--brute-cap", 0, DEFAULT_BRUTE_CAP, False, None),
+)
+# read by sets and lemmas only; no cycle is shorter than 2
+_SPECTRA = (
+    ("--ext-bound", 1, None, False, "max extension degree (default: n)"),
+    ("--m-max", 2, DEFAULT_M_MAX, False, None),
+)
+_MODE = ("--mode", MODES, "constructive", False, None)
+
+# (subcommand, help, options in help order)
+_SUBCOMMANDS = (
+    ("field-info", "field structure: modulus, generator, subfields, "
+                   "roots of unity", _COMMON),
+    ("decompose", "decompose one companion matrix", _COMMON + _BRUTE_CAP + (
+        ("--poly", str, None, True,
+         "monic polynomial a0,a1,...,1 (ascending)"),
+        _MODE,
+        ("--count-witnesses", bool, False, False,
+         "also count every (P, N) pair exhaustively"),
+    )),
+    ("verify", "decompose every companion matrix of degree n",
+     _COMMON + _COMPANIONS + _BRUTE_CAP + (
+         ("--cache", str, None, False,
+          "cache directory (WEAKPER_CACHE overrides)"),
+         _MODE,
+     )),
+    ("sets", "trace set, unity sum set, pattern spectra, containment "
+             "checks", _COMMON + _COMPANIONS + _SPECTRA),
+    ("conjecture", "commuting-decomposition ground truth scan",
+     _COMMON + _COMPANIONS),
+    ("lemmas", "run the lemma suite and print PASS/FAIL lines",
+     _COMMON + _COMPANIONS + _SPECTRA + (
+         ("--seed", int, DEFAULT_SEED, False, None),
+     )),
+)
+_OPTIONS = {command: {option[0]: option for option in options}
+            for command, _, options in _SUBCOMMANDS}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", required=True,
-                        help="field descriptor, e.g. 3, 2^4, or 2^2/1,1,1")
-    common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-
-    # read by the subcommands that enumerate all q^n companions
-    companions = argparse.ArgumentParser(add_help=False)
-    companions.add_argument("--n", type=_dimension, required=True)
-    companions.add_argument("--enum-cap", type=_cap,
-                            default=DEFAULT_ENUM_BOUND)
-
-    # read by the subcommands that run a brute search
-    brute_cap = argparse.ArgumentParser(add_help=False)
-    brute_cap.add_argument("--brute-cap", type=_cap,
-                           default=DEFAULT_BRUTE_CAP)
-
-    # read by sets and lemmas only
-    spectra = argparse.ArgumentParser(add_help=False)
-    spectra.add_argument("--ext-bound", type=_dimension, default=None,
-                         help="max extension degree (default: n)")
-    # no cycle is shorter than 2
-    spectra.add_argument("--m-max", type=lambda text: _at_least(text, 2),
-                         default=DEFAULT_M_MAX)
+    """The argparse parser of the grammar: run() uses it for help and for
+    every command line _parse_direct() does not accept."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="weakper",
         description="Weakly-periodic decompositions of companion matrices "
                     "over finite fields, with verification reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("field-info", parents=[common],
-                   help="field structure: modulus, generator, subfields, "
-                        "roots of unity")
-
-    p_dec = sub.add_parser("decompose", parents=[common, brute_cap],
-                           help="decompose one companion matrix")
-    p_dec.add_argument("--poly", required=True,
-                       help="monic polynomial a0,a1,...,1 (ascending)")
-    p_dec.add_argument("--mode", choices=MODES, default="constructive")
-    p_dec.add_argument("--count-witnesses", action="store_true",
-                       help="also count every (P, N) pair exhaustively")
-
-    p_ver = sub.add_parser("verify", parents=[common, companions, brute_cap],
-                           help="decompose every companion matrix of "
-                                "degree n")
-    p_ver.add_argument("--cache",
-                       help="cache directory (WEAKPER_CACHE overrides)")
-    p_ver.add_argument("--mode", choices=MODES, default="constructive")
-
-    p_sets = sub.add_parser("sets", parents=[common, companions, spectra],
-                            help="trace set, unity sum set, pattern "
-                                 "spectra, containment checks")
-
-    p_conj = sub.add_parser("conjecture", parents=[common, companions],
-                            help="commuting-decomposition ground truth "
-                                 "scan")
-
-    p_lem = sub.add_parser("lemmas", parents=[common, companions, spectra],
-                           help="run the lemma suite and print PASS/FAIL "
-                                "lines")
-    p_lem.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
+    for command, command_help, options in _SUBCOMMANDS:
+        command_parser = sub.add_parser(command, help=command_help)
+        for flag, kind, default, required, option_help in options:
+            if kind is bool:
+                how = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            elif kind is int:
+                how = {"type": int}
+            elif kind is str:
+                how = {}
+            else:
+                how = {"type": lambda text, low=kind: _at_least(text, low)}
+            command_parser.add_argument(flag, default=default,
+                                        required=required, help=option_help,
+                                        **how)
     return parser
 
 
+def _parse_direct(argv):
+    """The namespace build_parser() would return for argv when argv is
+    `<command> --flag value ...` with exact flags, values that do not
+    start with "-" and pass their kind, and every required flag; None
+    otherwise, so that argparse parses argv or reports its error."""
+    if not argv or type(argv[0]) is not str:
+        return None
+    options = _OPTIONS.get(argv[0])
+    if options is None:
+        return None
+    values = {_dest(flag): default
+              for flag, _, default, _, _ in options.values()}
+    values["command"] = argv[0]
+    missing = {flag for flag, option in options.items() if option[3]}
+    i, end = 1, len(argv)
+    while i < end:
+        flag = argv[i]
+        option = options.get(flag) if type(flag) is str else None
+        if option is None:
+            return None
+        kind = option[1]
+        if kind is bool:
+            value = True
+            i += 1
+        else:
+            if i + 1 == end:
+                return None
+            text = argv[i + 1]
+            if type(text) is not str or text.startswith("-"):
+                return None
+            if kind is str:
+                value = text
+            elif isinstance(kind, tuple):
+                if text not in kind:
+                    return None
+                value = text
+            else:
+                try:
+                    value = int(text)
+                except ValueError:
+                    return None
+                if kind is not int and value < kind:
+                    return None
+            i += 2
+        values[_dest(flag)] = value
+        missing.discard(flag)
+    if missing:
+        return None
+    return types.SimpleNamespace(**values)
+
+
 def run(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_direct(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     handlers = {
         "field-info": _cmd_field_info,
         "decompose": _cmd_decompose,

@@ -285,6 +285,10 @@ class FieldSpec:
                 f"cannot invert 0 in GF({self.p}^{self.l})")
         if x == 1:  # every element of GF(2), and every monic divisor's lead
             return 1
+        if self.l == 1:
+            # Fermat on plain integers, with no element call per step
+            p = self.p
+            return power(x, p - 2, lambda a, b: a * b % p)
         exp = self._exp
         if exp is not None:
             n = self.order - 1
@@ -503,7 +507,7 @@ def embed(x, sub, sup):
     if sub.p != sup.p or sup.l % sub.l != 0:
         raise NotASubfield(
             f"GF({sub.p}^{sub.l}) does not embed into GF({sup.p}^{sup.l})")
-    if sub == sup:
+    if sub is sup or sub == sup:
         return x
     if sub.l == 1:
         return x

@@ -118,7 +118,9 @@ class Mat:
         return cls._raw(spec, n, (0,) * (n * n))
 
     def _compatible(self, other):
-        if self.spec != other.spec:
+        # specs are canonical objects: identity settles the common case
+        # without the Python-level FieldSpec.__eq__
+        if self.spec is not other.spec and self.spec != other.spec:
             raise FieldMismatch("matrices live over different fields")
         if self.n != other.n:
             raise DimensionMismatch(
@@ -139,7 +141,8 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.spec == other.spec and self.n == other.n
+        return ((self.spec is other.spec or self.spec == other.spec)
+                and self.n == other.n
                 and self.entries == other.entries)
 
     def __hash__(self):

@@ -74,7 +74,8 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return ((self.spec is other.spec or self.spec == other.spec)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.spec, self.coeffs))
@@ -99,7 +100,9 @@ class Poly:
         return " + ".join(parts)
 
     def _same_field(self, other):
-        if self.spec != other.spec:
+        # specs are canonical objects: identity settles the common case
+        # without the Python-level FieldSpec.__eq__
+        if self.spec is not other.spec and self.spec != other.spec:
             raise FieldMismatch("polynomials live over different fields")
 
     def __add__(self, other):
@@ -111,14 +114,22 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = spec._add(out[i], c)
+        if spec.l == 1:
+            p = spec.p
+            for i, c in enumerate(b):
+                out[i] = (out[i] + c) % p
+        else:
+            for i, c in enumerate(b):
+                out[i] = spec._add(out[i], c)
         while out and out[-1] == 0:
             out.pop()
         return Poly._raw(spec, tuple(out))
 
     def __neg__(self):
         spec = self.spec
+        if spec.l == 1:
+            p = spec.p
+            return Poly._raw(spec, tuple([-c % p for c in self.coeffs]))
         return Poly._raw(spec, tuple(spec._neg(c) for c in self.coeffs))
 
     def __sub__(self, other):
@@ -135,11 +146,22 @@ class Poly:
         if not a or not b:
             return Poly.zero(spec)
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = spec._add(out[i + j], spec._mul(ai, bj))
+        if spec.l == 1:
+            # GF(p): plain integer sums, each coefficient reduced once
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        if bj:
+                            out[i + j] += ai * bj
+            p = spec.p
+            out = [c % p for c in out]
+        else:
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        if bj:
+                            out[i + j] = spec._add(out[i + j],
+                                                   spec._mul(ai, bj))
         while out and out[-1] == 0:
             out.pop()
         return Poly._raw(spec, tuple(out))
@@ -149,6 +171,9 @@ class Poly:
         spec.check(c)
         if c == 0:
             return Poly.zero(spec)
+        if spec.l == 1:
+            p = spec.p
+            return Poly._raw(spec, tuple([a * c % p for a in self.coeffs]))
         return Poly._raw(spec, tuple(spec._mul(a, c) for a in self.coeffs))
 
     def __divmod__(self, other):
@@ -165,17 +190,33 @@ class Poly:
         dd = other.degree
         den = other.coeffs
         quot = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c:
-                c = spec._mul(c, inv_lead)
-                quot[k - dd] = c
-                off = k - dd
-                for j in range(dd):
-                    if den[j]:
-                        rem[off + j] = spec._sub(rem[off + j],
-                                                 spec._mul(c, den[j]))
-            rem[k] = 0
+        if spec.l == 1:
+            # GF(p): rem holds plain integers, each reduced when it is
+            # read; the loop reads each entry from k = dd on once, and
+            # leaves the remainder below dd
+            p = spec.p
+            for k in range(len(rem) - 1, dd - 1, -1):
+                c = rem[k] % p
+                if c:
+                    c = c * inv_lead % p
+                    quot[k - dd] = c
+                    off = k - dd
+                    for j in range(dd):
+                        if den[j]:
+                            rem[off + j] -= c * den[j]
+            rem = [c % p for c in rem[:dd]]
+        else:
+            for k in range(len(rem) - 1, dd - 1, -1):
+                c = rem[k]
+                if c:
+                    c = spec._mul(c, inv_lead)
+                    quot[k - dd] = c
+                    off = k - dd
+                    for j in range(dd):
+                        if den[j]:
+                            rem[off + j] = spec._sub(rem[off + j],
+                                                     spec._mul(c, den[j]))
+                rem[k] = 0
         while rem and rem[-1] == 0:
             rem.pop()
         while quot and quot[-1] == 0:
@@ -198,9 +239,11 @@ class Poly:
     def derivative(self):
         spec = self.spec
         p = spec.p
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(spec._mul(self.coeffs[i], i % p))
+        if spec.l == 1:
+            out = [c * i % p for i, c in enumerate(self.coeffs[1:], 1)]
+        else:
+            out = [spec._mul(self.coeffs[i], i % p)
+                   for i in range(1, len(self.coeffs))]
         while out and out[-1] == 0:
             out.pop()
         return Poly._raw(spec, tuple(out))

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import RECORD_MUTATIONS
-from weakper import companion, gf, mat, search
+from weakper import cli, companion, gf, mat, search
 from weakper.cli import (
     EXIT_BROKEN_PIPE,
     _randrange_draws,
@@ -524,12 +525,13 @@ class TestExitCodes:
 class TestStartUp:
     """Every run is a fresh process, so a module that only some runs need
     is imported where it is used."""
-    # dataclasses pulls in inspect; hashlib loads OpenSSL's _hashlib
+    # dataclasses pulls in inspect; hashlib loads OpenSSL's _hashlib;
+    # argparse loads gettext, and only help and usage errors need either
     PROBE = ("import sys\n"
              "from weakper.cli import run\n"
              "code = run(sys.argv[1:]) if sys.argv[1:] else 0\n"
              "heavy = {'dataclasses', 'inspect', 'hashlib', '_hashlib',"
-             " 'csv'}\n"
+             " 'csv', 'argparse', 'gettext'}\n"
              "print(code, *sorted(heavy & set(sys.modules)),"
              " file=sys.stderr)\n")
 
@@ -554,6 +556,29 @@ class TestStartUp:
                                  "--format", "csv",
                                  "--cache", str(tmp_path)) == [
             "0", "csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ("field-info", "--field", "3", "--format", "text"),
+        ("decompose", "--field", "5", "--poly", "1,2,3,1", "--mode",
+         "brute", "--count-witnesses"),
+        ("verify", "--field", "3", "--n", "2", "--mode", "commuting",
+         "--enum-cap", "100", "--brute-cap", "100"),
+        ("sets", "--field", "2", "--n", "2", "--ext-bound", "2",
+         "--m-max", "4"),
+        ("conjecture", "--field", "2", "--n", "2", "--format", "csv"),
+        ("lemmas", "--field", "2", "--n", "2", "--m-max", "4", "--seed",
+         "7", "--format", "text"),
+    ])
+    def test_well_formed_run_loads_no_argparse(self, argv):
+        code, *loaded = self.loaded_after(*argv)
+        assert code == "0"
+        assert not {"argparse", "gettext"} & set(loaded)
+
+    def test_usage_error_loads_argparse(self):
+        # argparse's usage message comes first on stderr, the probe's line
+        # last
+        loaded = self.loaded_after("verify", "--field", "3", "--n", "0")
+        assert loaded[-3:] == ["2", "argparse", "gettext"]
 
     # the hook is registered before main() runs, so it runs after main's
     # freeze and prints how many objects the freeze moved
@@ -658,6 +683,146 @@ class TestStartUp:
         monkeypatch.setattr(hashlib, "sha256", sha256)
         assert _verify_cache_key(spec, 3, "brute", 1000, 600) == key
         assert len(calls) == 1
+
+
+
+def valid_value(kind, shift=0):
+    """A command-line value of an option kind of cli's grammar, and the
+    value argparse makes of it; shift picks another one."""
+    if kind is str:
+        return f"x{shift},1", f"x{shift},1"
+    if isinstance(kind, tuple):
+        return kind[shift % len(kind)], kind[shift % len(kind)]
+    value = (kind if kind is not int else -3) + 3 + shift
+    return str(value), value
+
+
+def well_formed_corpus():
+    """argv of every subcommand: each subset of its optional flags with
+    every required one, in table order, reversed and rotated, and each
+    valued flag repeated with a second value that must win."""
+    for command, _, options in cli._SUBCOMMANDS:
+        required = [o for o in options if o[3]]
+        optional = [o for o in options if not o[3]]
+        for size in range(len(optional) + 1):
+            for chosen in itertools.combinations(optional, size):
+                picked = required + list(chosen)
+                for order in (picked, picked[::-1],
+                              picked[1:] + picked[:1]):
+                    argv = [command]
+                    for flag, kind, _, _, _ in order:
+                        argv.append(flag)
+                        if kind is not bool:
+                            argv.append(valid_value(kind)[0])
+                    yield argv
+        for flag, kind, _, _, _ in options:
+            if kind is not bool:
+                argv = [command]
+                for option in required:
+                    argv += [option[0], valid_value(option[1])[0]]
+                argv += [flag, valid_value(kind)[0],
+                         flag, valid_value(kind, 1)[0]]
+                yield argv
+
+
+VERIFY_USAGE = (
+    "usage: weakper verify [-h] --field FIELD [--out OUT]\n"
+    "                      [--format {json,csv,text}] --n N"
+    " [--enum-cap ENUM_CAP]\n"
+    "                      [--brute-cap BRUTE_CAP] [--cache CACHE]\n"
+    "                      [--mode {constructive,brute,commuting}]\n")
+DECOMPOSE_USAGE = (
+    "usage: weakper decompose [-h] --field FIELD [--out OUT]\n"
+    "                         [--format {json,csv,text}]"
+    " [--brute-cap BRUTE_CAP]\n"
+    "                         --poly POLY"
+    " [--mode {constructive,brute,commuting}]\n"
+    "                         [--count-witnesses]\n")
+
+
+class TestDirectParser:
+    """run() parses a well-formed command line without argparse; the
+    namespace is the one argparse gives, and everything else reaches
+    argparse, which answers as it did before the direct parser."""
+
+    def test_matches_argparse(self):
+        parser = cli.build_parser()
+        corpus = list(well_formed_corpus())
+        assert len(corpus) > 500
+        commands = set()
+        for argv in corpus:
+            direct = cli._parse_direct(argv)
+            assert direct is not None, argv
+            assert vars(direct) == vars(parser.parse_args(argv)), argv
+            commands.add(argv[0])
+        assert commands == {command for command, _, _ in cli._SUBCOMMANDS}
+
+    def test_last_repeated_value_wins(self):
+        args = cli._parse_direct(["verify", "--n", "2", "--field", "3",
+                                  "--n", "5", "--format", "csv",
+                                  "--format", "text"])
+        assert (args.n, args.field, args.format) == (5, "3", "text")
+
+    def test_defaults_are_argparse_defaults(self):
+        args = cli._parse_direct(["lemmas", "--field", "3", "--n", "2"])
+        assert vars(args) == {
+            "command": "lemmas", "field": "3", "out": None,
+            "format": "json", "n": 2, "enum_cap": DEFAULT_ENUM_BOUND,
+            "ext_bound": None, "m_max": cli.DEFAULT_M_MAX,
+            "seed": cli.DEFAULT_SEED}
+
+    # (argv, exit code, stderr), as argparse answered before the direct
+    # parser existed, at 80 columns
+    REFUSED = [
+        (("verify", "--fie", "3", "--n", "2"), 0, ""),
+        (("verify", "--field", "3", "--n=2"), 0, ""),
+        (("verify", "--field", "3", "--n", "2", "-h"), 0, ""),
+        (("verify", "--", "--field", "3", "--n", "2"), 2,
+         VERIFY_USAGE + "weakper verify: error: the following arguments "
+                        "are required: --field, --n\n"),
+        (("lemmas", "--field", "2", "--n", "2", "--m-max", "4", "--seed",
+          "-5"), 0, ""),
+        (("decompose", "--field", "5", "--poly", "-1,1"), 2,
+         DECOMPOSE_USAGE + "weakper decompose: error: argument --poly: "
+                           "expected one argument\n"),
+        (("verify", "--field", "3", "--n", "2", "--mode", "fast"), 2,
+         VERIFY_USAGE + "weakper verify: error: argument --mode: invalid "
+                        "choice: 'fast' (choose from 'constructive', "
+                        "'brute', 'commuting')\n"),
+        (("verify", "--field", "3", "--n", "0"), 2,
+         VERIFY_USAGE + "weakper verify: error: argument --n: must be an "
+                        "integer >= 1, got '0'\n"),
+        (("verify", "--field", "3"), 2,
+         VERIFY_USAGE + "weakper verify: error: the following arguments "
+                        "are required: --n\n"),
+        (("solve", "--field", "3"), 2,
+         "usage: weakper [-h] {field-info,decompose,verify,sets,conjecture,"
+         "lemmas} ...\nweakper: error: argument command: invalid choice: "
+         "'solve' (choose from 'field-info', 'decompose', 'verify', 'sets',"
+         " 'conjecture', 'lemmas')\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, err", REFUSED)
+    def test_refused_reach_argparse(self, capsys, monkeypatch, argv, code,
+                                    err):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("WEAKPER_CACHE", raising=False)
+        assert cli._parse_direct(list(argv)) is None
+        got, out, got_err = invoke(capsys, *argv)
+        assert (got, got_err) == (code, err)
+        if "-h" in argv:
+            assert out.startswith("usage: weakper verify [-h]")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--field", "3", "--n", 2],
+        ["verify", "--field", 3, "--n", "2"],
+        [3],
+    ])
+    def test_non_str_item_reaches_argparse(self, argv):
+        assert cli._parse_direct(argv) is None
+        # argparse indexes every item as a string
+        with pytest.raises(TypeError):
+            run(argv)
 
 
 def reference_json(value):

@@ -16,7 +16,7 @@ from weakper.errors import (
     WeakperError,
 )
 from weakper import mat
-from weakper.gf import FieldSpec, build_field, multiplicative_order
+from weakper.gf import FieldSpec, build_field, embed, multiplicative_order
 from weakper.mat import (
     Mat,
     char_poly,
@@ -188,6 +188,39 @@ class TestPrimeFieldProduct:
                 random_matrix(seeded_rng, spec, n) * Mat.identity(spec, n)
         info = mat._straight_product.cache_info()
         assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
+
+
+class TestFieldIdentity:
+    """Field specs are canonical objects, so arithmetic and embedding over
+    one spec settle compatibility by identity, without FieldSpec.__eq__."""
+
+    def test_one_spec_makes_no_field_comparison(self, gf4, gf5, seeded_rng,
+                                                monkeypatch):
+        calls = []
+
+        def counted(spec, other, eq=FieldSpec.__eq__):
+            calls.append(other)
+            return eq(spec, other)
+
+        monkeypatch.setattr(FieldSpec, "__eq__", counted)
+        for spec in (gf4, gf5):
+            for n in (2, 5):
+                a = random_matrix(seeded_rng, spec, n)
+                b = random_matrix(seeded_rng, spec, n)
+                a * b, a + b, a - b
+                assert a == Mat(spec, n, a.entries)
+            f = Poly(spec, (1, 2, 0, 1))
+            g = Poly(spec, (3, 1))
+            f * g, f + g, f - g, divmod(f, g)
+            assert f == Poly(spec, f.coeffs)
+            assert embed(1, spec, spec) == 1
+        assert calls == []
+        # an equal spec that is another object is still compared
+        twin = FieldSpec(gf5.p, gf5.l, gf5.modulus)
+        assert Mat.identity(twin, 2) == Mat.identity(gf5, 2)
+        assert calls == [gf5]
+        assert (Poly.x(twin) * Poly.x(gf5)).coeffs == (0, 0, 1)
+        assert calls == [gf5, gf5]
 
 
 class TestProductBudgets:

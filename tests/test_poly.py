@@ -13,7 +13,7 @@ from weakper.errors import (
     ZeroPolynomial,
 )
 from weakper import gf, poly
-from weakper.gf import build_field, embed
+from weakper.gf import FieldSpec, build_field, embed
 from weakper.mat import char_poly, cycle_permutation_matrix
 from weakper.poly import (
     Poly,
@@ -178,6 +178,60 @@ def test_pow_mod_product_budget(gf3, monkeypatch):
     before = used[0]
     pow_mod(x, 7, m)
     assert used[0] - before == 4  # squares X^2, X^4 and two products
+
+
+def random_poly(rng, spec, degree):
+    return Poly(spec, [rng.randrange(spec.order) for _ in range(degree)]
+                + [rng.randrange(1, spec.order)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 2 ** 31 - 1])
+def test_prime_field_arithmetic_matches_the_element_loop(p, seeded_rng):
+    # +, - and * coefficient by coefficient through the FieldSpec element
+    # calls; division with remainder is unique, so q*g + r == f with
+    # deg r < deg g pins divmod
+    spec = build_field(p, 1, bound=p)
+    for _ in range(30):
+        f = random_poly(seeded_rng, spec, seeded_rng.randrange(9))
+        g = random_poly(seeded_rng, spec, seeded_rng.randrange(5))
+        a, b = f.coeffs, g.coeffs
+        size = max(len(a), len(b))
+        a, b = a + (0,) * (size - len(a)), b + (0,) * (size - len(b))
+        assert f + g == Poly(spec, map(spec._add, a, b))
+        assert f - g == Poly(spec, map(spec._sub, a, b))
+        assert -f == Poly(spec, map(spec._neg, f.coeffs))
+        product = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+        for (i, x), (j, y) in itertools.product(enumerate(f.coeffs),
+                                                enumerate(g.coeffs)):
+            product[i + j] = spec._add(product[i + j], spec._mul(x, y))
+        assert f * g == Poly(spec, product)
+        c = seeded_rng.randrange(1, p)
+        assert f.scale(c) == Poly(spec, [spec._mul(x, c) for x in f.coeffs])
+        assert f.derivative() == Poly(spec, [
+            spec._mul(x, i % p) for i, x in enumerate(f.coeffs) if i])
+        q, r = divmod(f, g)
+        assert q * g + r == f and r.degree < g.degree
+        assert spec._inv(c) * c % p == 1
+
+
+def test_prime_field_makes_no_element_call(gf4, gf5, seeded_rng,
+                                           monkeypatch):
+    calls = []
+    for name in ("_add", "_sub", "_neg", "_mul"):
+        def counted(spec, *args, name=name, op=getattr(FieldSpec, name)):
+            calls.append(name)
+            return op(spec, *args)
+
+        monkeypatch.setattr(FieldSpec, name, counted)
+    for _ in range(40):
+        f = random_poly(seeded_rng, gf5, seeded_rng.randrange(1, 9))
+        g = random_poly(seeded_rng, gf5, seeded_rng.randrange(1, 6))
+        divmod(f, g), gcd(f, g), is_squarefree(f)
+        pow_mod(f, seeded_rng.randrange(1, 200), g)
+    assert calls == []
+    # an extension field keeps its element loops
+    divmod(Poly(gf4, (1, 2, 3, 1)), Poly(gf4, (2, 3)))
+    assert "_mul" in calls
 
 
 def test_is_squarefree(gf2, gf3):
