@@ -69,12 +69,17 @@ def companion_of(g):
     if n < 1:
         raise ZeroDegree("companion form needs degree >= 1")
     spec = g.spec
-    neg = spec._neg
+    low = g.coeffs[:n]
+    if spec.l == 1:
+        column = [-c % spec.p for c in low]
+    elif (tables := spec._tables()) is not None:
+        column = tables.negate(low)
+    else:
+        column = [spec._neg(c) for c in low]
     entries = [0] * (n * n)
     for i in range(1, n):
         entries[i * n + (i - 1)] = 1
-    for i in range(n):
-        entries[i * n + (n - 1)] = neg(g.coeffs[i])
+    entries[n - 1::n] = column
     return CompanionForm(poly=g, matrix=Mat._raw(spec, n, tuple(entries)))
 
 

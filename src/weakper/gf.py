@@ -16,6 +16,7 @@ primitive d-th root of unity) and horner.
 import functools
 import itertools
 import math
+import operator
 
 from .errors import (
     BadDegree,
@@ -31,12 +32,13 @@ from .errors import (
 DEFAULT_FIELD_BOUND = 1 << 20
 
 # exp/log multiplication tables are built lazily for extension fields up to
-# this order; dense addition tables for odd characteristic up to the smaller
-# bound.  Larger fields fall back to digit arithmetic.  A splitting field
-# such as GF(3^6) sees too few additions to repay a q^2-entry table.  The
-# exp/log build costs about 2 * p^ceil(l/2) digit-arithmetic products plus
-# q cheap lookup steps: about 5 ms for GF(5^6) and 35 ms for GF(2^16) with
-# Python 3.11 on a shared 2-vCPU Xeon.
+# this order; the flat tables (FlatTables) up to the smaller bound, and
+# with them, in odd characteristic, the dense addition table.  Larger
+# fields fall back to digit arithmetic.  A splitting field such as GF(3^6)
+# sees too few additions to repay a q^2-entry table.  The exp/log build
+# costs about 2 * p^ceil(l/2) digit-arithmetic products plus q cheap
+# lookup steps: about 5 ms for GF(5^6) and 35 ms for GF(2^16) with Python
+# 3.11 on a shared 2-vCPU Xeon.
 _MUL_TABLE_BOUND = 1 << 16
 _ADD_TABLE_BOUND = 1 << 7
 # bound of the canonical-field and embedding memos: the largest sets and
@@ -141,6 +143,73 @@ def _smallest_irreducible(p, l):
     raise NoRootFound(f"no irreducible of degree {l} over GF({p})")
 
 
+class FlatTables:
+    """Lookup tables of a small extension field GF(q), on encodings:
+    mul[x * q + y] is x * y and neg[x] is -x.  Kind "add" (odd
+    characteristic) adds through add[x * q + y]; kind "xor"
+    (characteristic 2) adds by x ^ y and has add None.
+
+    The methods take whole vectors (lists or tuples of encodings), so an
+    operation costs one call, not one FieldSpec call per entry.
+    """
+    # a plain class: building a namedtuple class costs about 0.3 ms of
+    # every process's import
+    __slots__ = ("kind", "q", "mul", "add", "neg")
+
+    def __init__(self, kind, q, mul, add, neg):
+        self.kind = kind
+        self.q = q
+        self.mul = mul
+        self.add = add
+        self.neg = neg
+
+    def plus(self, a, b):
+        """[a[i] + b[i]] for a and b of equal length."""
+        if self.add is None:
+            return [x ^ y for x, y in zip(a, b)]
+        add, q = self.add, self.q
+        return [add[x * q + y] for x, y in zip(a, b)]
+
+    def minus(self, a, b):
+        """[a[i] - b[i]] for a and b of equal length."""
+        if self.add is None:
+            return [x ^ y for x, y in zip(a, b)]
+        add, neg, q = self.add, self.neg, self.q
+        return [add[x * q + neg[y]] for x, y in zip(a, b)]
+
+    def negate(self, a):
+        neg = self.neg
+        return [neg[x] for x in a]
+
+    def scale(self, c, a):
+        """[c * a[i]]."""
+        mul, cq = self.mul, c * self.q
+        return [mul[cq + x] for x in a]
+
+    def axpy(self, out, c, vec, off=0):
+        """out[off + i] += c * vec[i] for every i, in place."""
+        mul, add, q = self.mul, self.add, self.q
+        cq = c * q
+        if add is None:
+            for i, v in enumerate(vec, off):
+                if v:
+                    out[i] ^= mul[cq + v]
+        else:
+            for i, v in enumerate(vec, off):
+                if v:
+                    out[i] = add[out[i] * q + mul[cq + v]]
+
+    def total(self, a):
+        """The sum of the entries of a."""
+        if self.add is None:
+            return functools.reduce(operator.xor, a, 0)
+        add, q = self.add, self.q
+        acc = 0
+        for x in a:
+            acc = add[acc * q + x]
+        return acc
+
+
 class FieldSpec:
     """A concrete finite field: prime, extension degree, and modulus.
 
@@ -150,7 +219,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "l", "order", "modulus", "_hash", "_exp", "_log",
-                 "_add_table", "_gen")
+                 "_add_table", "_flat", "_gen")
 
     def __init__(self, p, l, modulus):
         self.p = p
@@ -161,6 +230,7 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._add_table = None
+        self._flat = None
         self._gen = None
 
     def __eq__(self, other):
@@ -294,6 +364,36 @@ class FieldSpec:
             n = self.order - 1
             return exp[(n - self._log[x]) % n]
         return power(x, self.order - 2, self._mul)
+
+    def _tables(self):
+        """The FlatTables of an extension field of order at most
+        _ADD_TABLE_BOUND, built on first use; None for a prime field, which
+        runs on plain integers, and for a larger field, which keeps its
+        element arithmetic."""
+        tables = self._flat
+        if tables is None and self.l > 1 and self.order <= _ADD_TABLE_BOUND:
+            tables = self._build_flat_tables()
+        return tables
+
+    def _build_flat_tables(self):
+        # every product is read off the exp/log tables, with no digit
+        # arithmetic; -x is x * g^((q - 1) / 2) = x * (-1) for odd q
+        q = self.order
+        if self._exp is None:
+            self._build_mul_tables()
+        exp, logs = self._exp, self._log[1:]
+        mul = [0] * (q * q)
+        for x, lx in enumerate(logs, 1):
+            mul[x * q + 1:(x + 1) * q] = [exp[lx + ly] for ly in logs]
+        if self.p == 2:
+            tables = FlatTables("xor", q, mul, None, list(range(q)))
+        else:
+            half = (q - 1) // 2
+            tables = FlatTables(
+                "add", q, mul, self._add_table or self._build_add_table(),
+                [0] + [exp[lx + half] for lx in logs])
+        self._flat = tables
+        return tables
 
     def _build_add_table(self):
         q, p, l = self.order, self.p, self.l

@@ -3,9 +3,12 @@ rest of the package builds on: division-free characteristic polynomials,
 minimal polynomials via Krylov elimination, and potency tests.  _reduce
 is the one elimination loop: min_poly, det, linear_combination and the
 square-zero enumerator's rank test in search all reduce through it.
-Over a prime field, +, -, * and _reduce's row operations run on plain
-ints with no FieldSpec call per entry, and for n <= 4 the product is
-straight-line code, compiled once per n (_straight_product).
+Over a prime field, +, -, *, trace and _reduce's row operations run on
+plain ints with no FieldSpec call per entry; over an extension field of
+order at most gf._ADD_TABLE_BOUND they read its FlatTables, and only a
+larger field makes one FieldSpec call per term.  For n <= 4 the product
+is straight-line code, compiled once per n and field kind
+(_straight_product).
 
 A matrix M counts as potent when its minimal polynomial is squarefree.
 That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
@@ -41,30 +44,50 @@ EXPONENT_CAP = 1 << 63
 # brute scan over n x n matrices meets at most q + q^2 + ... + q^n of them,
 # 84 for GF(4) n=3; a commuting run meets one squarefree part per companion.
 _POTENCY_CACHE_SIZE = 4096
-# the largest n whose GF(p) product is straight-line code: its source grows
-# as n^3, and compiling it took 0.26 ms at n = 4 but 23 ms at n = 20
+# the largest n whose product is straight-line code: its source grows as
+# n^3, and compiling the GF(p) one took 0.26 ms at n = 4 but 23 ms at n = 20
 _STRAIGHT_LINE_N = 4
+# the field kinds with a straight-line product: GF(p), and the two kinds of
+# gf.FlatTables
+_PRODUCT_KINDS = ("p", "xor", "add")
 
 
-@functools.lru_cache(maxsize=_STRAIGHT_LINE_N)
-def _straight_product(n):
-    """The GF(p) product of two n x n entry tuples, compiled once per n as
-    one expression with no loop: entry (i, j) is the integer sum of
-    a[i n + k] * b[k n + j] over k, reduced mod p.  The source is built
-    from n alone and p is an argument, so one function serves every
-    prime."""
+@functools.lru_cache(maxsize=_STRAIGHT_LINE_N * len(_PRODUCT_KINDS))
+def _straight_product(n, kind):
+    """The product of two n x n entry tuples a and b, compiled once per
+    (n, kind) as one expression with no loop.  Kind "p" takes the prime p:
+    entry (i, j) is the integer sum of a[i n + k] * b[k n + j] over k,
+    reduced mod p.  Kinds "xor" and "add" take the field's FlatTables t,
+    and the a-entries come pre-scaled by q: each term is
+    t.mul[a[i n + k] * q + b[k n + j]], and the terms add by ^ ("xor") or
+    by nested t.add lookups ("add").  The source depends on (n, kind)
+    alone, so one function serves every field of that kind."""
     a = [f"a{i}" for i in range(n * n)]
     b = [f"b{i}" for i in range(n * n)]
-    entries = ", ".join(
-        "(" + " + ".join(f"{a[i * n + k]} * {b[k * n + j]}"
-                         for k in range(n)) + ") % p"
-        for i in range(n) for j in range(n))
-    source = (f"def product(a, b, p):\n"
-              f"    {', '.join(a)}, = a\n"
+
+    def entry(i, j):
+        terms = [(a[i * n + k], b[k * n + j]) for k in range(n)]
+        if kind == "p":
+            return "(" + " + ".join(f"{x} * {y}" for x, y in terms) + ") % p"
+        if kind == "xor":
+            return " ^ ".join(f"mul[{x} + {y}]" for x, y in terms)
+        acc = "mul[{} + {}]".format(*terms[0])
+        for x, y in terms[1:]:
+            acc = f"add[{acc} * q + mul[{x} + {y}]]"
+        return acc
+
+    entries = ", ".join(entry(i, j) for i in range(n) for j in range(n))
+    if kind == "p":
+        head = f"def product(a, b, p):\n    {', '.join(a)}, = a\n"
+    else:
+        head = (f"def product(a, b, t):\n"
+                f"    q, mul, add = t.q, t.mul, t.add\n"
+                f"    {', '.join(a)}, = [x * q for x in a]\n")
+    source = (f"{head}"
               f"    {', '.join(b)}, = b\n"
               f"    return ({entries},)\n")
     namespace = {}
-    exec(compile(source, f"<GF(p) product n={n}>", "exec"), namespace)
+    exec(compile(source, f"<{kind} product n={n}>", "exec"), namespace)
     return namespace["product"]
 
 
@@ -161,15 +184,26 @@ class Mat:
             return Mat._raw(spec, self.n,
                             tuple([(a + b) % p for a, b
                                    in zip(self.entries, other.entries)]))
+        tables = spec._tables()
+        if tables is not None:
+            return Mat._raw(spec, self.n,
+                            tuple(tables.plus(self.entries, other.entries)))
         add = spec._add
         return Mat._raw(spec, self.n,
                         tuple(add(a, b)
                               for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self):
-        neg = self.spec._neg
-        return Mat._raw(self.spec, self.n,
-                        tuple(neg(a) for a in self.entries))
+        spec = self.spec
+        if spec.l == 1:
+            p = spec.p
+            return Mat._raw(spec, self.n,
+                            tuple([-a % p for a in self.entries]))
+        tables = spec._tables()
+        if tables is not None:
+            return Mat._raw(spec, self.n, tuple(tables.negate(self.entries)))
+        neg = spec._neg
+        return Mat._raw(spec, self.n, tuple(neg(a) for a in self.entries))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
@@ -181,6 +215,10 @@ class Mat:
             return Mat._raw(spec, self.n,
                             tuple([(a - b) % p for a, b
                                    in zip(self.entries, other.entries)]))
+        tables = spec._tables()
+        if tables is not None:
+            return Mat._raw(spec, self.n,
+                            tuple(tables.minus(self.entries, other.entries)))
         sub = spec._sub
         return Mat._raw(spec, self.n,
                         tuple(sub(a, b)
@@ -192,11 +230,12 @@ class Mat:
         self._compatible(other)
         spec, n = self.spec, self.n
         a, b = self.entries, other.entries
-        if spec.l == 1 and n <= _STRAIGHT_LINE_N:
-            return Mat._raw(spec, n, _straight_product(n)(a, b, spec.p))
-        out = [0] * (n * n)
         if spec.l == 1:
+            if n <= _STRAIGHT_LINE_N:
+                return Mat._raw(spec, n,
+                                _straight_product(n, "p")(a, b, spec.p))
             # GF(p): plain integer sums, each entry reduced once
+            out = [0] * (n * n)
             for i in range(n):
                 ai = i * n
                 for k in range(n):
@@ -209,6 +248,18 @@ class Mat:
                                 out[ai + j] += c * d
             p = spec.p
             return Mat._raw(spec, n, tuple([x % p for x in out]))
+        tables = spec._tables()
+        if tables is not None and n <= _STRAIGHT_LINE_N:
+            return Mat._raw(spec, n,
+                            _straight_product(n, tables.kind)(a, b, tables))
+        out = [0] * (n * n)
+        if tables is not None:
+            for i in range(n):
+                for k in range(n):
+                    c = a[i * n + k]
+                    if c:
+                        tables.axpy(out, c, b[k * n:(k + 1) * n], i * n)
+            return Mat._raw(spec, n, tuple(out))
         mul, add = spec._mul, spec._add
         for i in range(n):
             ai = i * n
@@ -222,10 +273,18 @@ class Mat:
         return Mat._raw(spec, n, tuple(out))
 
     def scale(self, c):
-        self.spec.check(c)
-        mul = self.spec._mul
-        return Mat._raw(self.spec, self.n,
-                        tuple(mul(c, a) for a in self.entries))
+        spec = self.spec
+        spec.check(c)
+        if spec.l == 1:
+            p = spec.p
+            return Mat._raw(spec, self.n,
+                            tuple([c * a % p for a in self.entries]))
+        tables = spec._tables()
+        if tables is not None:
+            return Mat._raw(spec, self.n,
+                            tuple(tables.scale(c, self.entries)))
+        mul = spec._mul
+        return Mat._raw(spec, self.n, tuple(mul(c, a) for a in self.entries))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -236,10 +295,17 @@ class Mat:
         return power(self, k, operator.mul)
 
     def trace(self):
-        add = self.spec._add
+        spec = self.spec
+        diagonal = self.entries[::self.n + 1]
+        if spec.l == 1:
+            return sum(diagonal) % spec.p
+        tables = spec._tables()
+        if tables is not None:
+            return tables.total(diagonal)
+        add = spec._add
         acc = 0
-        for i in range(self.n):
-            acc = add(acc, self.entries[i * self.n + i])
+        for a in diagonal:
+            acc = add(acc, a)
         return acc
 
     def transpose(self):
@@ -332,6 +398,15 @@ def _reduce(basis, vec, combo, spec):
                     if v:
                         combo[idx] = (combo[idx] - c * v) % p
         return next((idx for idx, v in enumerate(vec) if v), None)
+    tables = spec._tables()
+    if tables is not None:
+        neg = tables.neg
+        for row, pivot, row_combo in basis:
+            c = vec[pivot]
+            if c:
+                tables.axpy(vec, neg[c], row)
+                tables.axpy(combo, neg[c], row_combo)
+        return next((idx for idx, v in enumerate(vec) if v), None)
     sub, mul = spec._sub, spec._mul
     for row, pivot, row_combo in basis:
         c = vec[pivot]
@@ -356,11 +431,14 @@ def _basis_row(vec, pivot, combo, spec):
             combo = [scale * v % p for v in combo]
         return vec, pivot, combo
     scale = spec._inv(vec[pivot])
-    if scale != 1:
-        mul = spec._mul
-        vec = [mul(scale, v) for v in vec]
-        combo = [mul(scale, v) for v in combo]
-    return vec, pivot, combo
+    if scale == 1:
+        return vec, pivot, combo
+    tables = spec._tables()
+    if tables is not None:
+        return tables.scale(scale, vec), pivot, tables.scale(scale, combo)
+    mul = spec._mul
+    return ([mul(scale, v) for v in vec], pivot,
+            [mul(scale, v) for v in combo])
 
 
 def det(M):
@@ -385,6 +463,11 @@ def det(M):
         p = spec.p
         out = math.prod(leads) % p
         return -out % p if inversions % 2 else out
+    tables = spec._tables()
+    if tables is not None:
+        mul, q = tables.mul, tables.q
+        out = functools.reduce(lambda x, y: mul[x * q + y], leads, 1)
+        return tables.neg[out] if inversions % 2 else out
     out = functools.reduce(spec._mul, leads, 1)
     return spec._neg(out) if inversions % 2 else out
 
@@ -524,4 +607,7 @@ def linear_combination(vectors, target, spec):
         return None
     if spec.l == 1:
         return tuple([-c % spec.p for c in combo])
+    tables = spec._tables()
+    if tables is not None:
+        return tuple(tables.negate(combo))
     return tuple(map(spec._neg, combo))

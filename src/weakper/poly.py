@@ -3,6 +3,9 @@
 Coefficients are stored ascending (index = degree) in a canonical tuple with
 no trailing zeros; the zero polynomial has an empty tuple and degree -1.
 pow_mod and evaluation run through gf's power and horner kernels.
+Arithmetic runs on plain ints over a prime field and reads the field's
+FlatTables over an extension field of order at most gf._ADD_TABLE_BOUND;
+only a larger field makes one FieldSpec call per term.
 """
 
 import itertools
@@ -118,6 +121,8 @@ class Poly:
             p = spec.p
             for i, c in enumerate(b):
                 out[i] = (out[i] + c) % p
+        elif (tables := spec._tables()) is not None:
+            tables.axpy(out, 1, b)
         else:
             for i, c in enumerate(b):
                 out[i] = spec._add(out[i], c)
@@ -130,6 +135,9 @@ class Poly:
         if spec.l == 1:
             p = spec.p
             return Poly._raw(spec, tuple([-c % p for c in self.coeffs]))
+        tables = spec._tables()
+        if tables is not None:
+            return Poly._raw(spec, tuple(tables.negate(self.coeffs)))
         return Poly._raw(spec, tuple(spec._neg(c) for c in self.coeffs))
 
     def __sub__(self, other):
@@ -155,6 +163,10 @@ class Poly:
                             out[i + j] += ai * bj
             p = spec.p
             out = [c % p for c in out]
+        elif (tables := spec._tables()) is not None:
+            for i, ai in enumerate(a):
+                if ai:
+                    tables.axpy(out, ai, b, i)
         else:
             for i, ai in enumerate(a):
                 if ai:
@@ -174,6 +186,9 @@ class Poly:
         if spec.l == 1:
             p = spec.p
             return Poly._raw(spec, tuple([a * c % p for a in self.coeffs]))
+        tables = spec._tables()
+        if tables is not None:
+            return Poly._raw(spec, tuple(tables.scale(c, self.coeffs)))
         return Poly._raw(spec, tuple(spec._mul(a, c) for a in self.coeffs))
 
     def __divmod__(self, other):
@@ -205,6 +220,15 @@ class Poly:
                         if den[j]:
                             rem[off + j] -= c * den[j]
             rem = [c % p for c in rem[:dd]]
+        elif (tables := spec._tables()) is not None:
+            # subtracting c * den with its lead clears rem[k] as well
+            mul, neg, q = tables.mul, tables.neg, tables.q
+            for k in range(len(rem) - 1, dd - 1, -1):
+                c = rem[k]
+                if c:
+                    c = mul[c * q + inv_lead]
+                    quot[k - dd] = c
+                    tables.axpy(rem, neg[c], den, k - dd)
         else:
             for k in range(len(rem) - 1, dd - 1, -1):
                 c = rem[k]
@@ -241,6 +265,10 @@ class Poly:
         p = spec.p
         if spec.l == 1:
             out = [c * i % p for i, c in enumerate(self.coeffs[1:], 1)]
+        elif (tables := spec._tables()) is not None:
+            mul, q = tables.mul, tables.q
+            out = [mul[c * q + i % p]
+                   for i, c in enumerate(self.coeffs[1:], 1)]
         else:
             out = [spec._mul(self.coeffs[i], i % p)
                    for i in range(1, len(self.coeffs))]

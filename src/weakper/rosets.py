@@ -194,15 +194,30 @@ def _spectra_by_evaluation(m, patterns, spec, ext_bound, field_bound):
         home = root_extension(spec, d, field_bound)
         return embed(v, sub, home), home
 
+    tables = split._tables()
+    columns = {}  # e -> (zeta^(e j) for j < m'), for the tables
+
+    def column(e):
+        if e not in columns:
+            columns[e] = [powers[e * j % order] for j in range(order)]
+        return columns[e]
+
     for pattern in patterns:
         # a weight mod p is a prime-field element, encoded as itself
         weights = [(e, w % p) for e, w in pattern.coeffs if w % p]
-        values = set()
-        for j in range(order):
-            acc = 0
+        if tables is not None:
+            sums = [0] * order
             for e, w in weights:
-                acc = split._add(acc, split._mul(powers[e * j % order], w))
-            values.add(acc)
+                tables.axpy(sums, w, column(e))
+            values = set(sums)
+        else:
+            values = set()
+            for j in range(order):
+                acc = 0
+                for e, w in weights:
+                    acc = split._add(acc,
+                                     split._mul(powers[e * j % order], w))
+                values.add(acc)
         fresh = []
         for v in values - placed.keys():
             e = prime_degree(v)

@@ -44,10 +44,12 @@ from .mat import (
     Mat,
     _basis_row,
     _reduce,
+    _squarefree,
     char_poly,
-    is_potent,
     is_square_zero,
     linear_combination,
+    min_poly,
+    min_poly_exponent,
     potency_exponent,
 )
 from .poly import Poly, pow_mod
@@ -59,8 +61,14 @@ MODES = ("constructive", "brute", "commuting")
 
 def _combine(spec, coeffs, vectors, size):
     """sum(coeffs[i] * vectors[i]) over flat entry tuples of length size."""
-    mul, add = spec._mul, spec._add
     out = [0] * size
+    tables = spec._tables()
+    if tables is not None:
+        for c, vec in zip(coeffs, vectors):
+            if c:
+                tables.axpy(out, c, vec)
+        return tuple(out)
+    mul, add = spec._mul, spec._add
     for c, vec in zip(coeffs, vectors):
         if c:
             for idx, v in enumerate(vec):
@@ -115,7 +123,8 @@ def _square_zero_entries(spec, n):
     functionals, the phi_k are the rows of G.A for a unique full-rank
     r x (n - r) matrix G; r ranges over 0..n//2.
     """
-    neg = spec._neg
+    tables = spec._tables()
+    neg = spec._neg if tables is None else tables.neg.__getitem__
     out = []
     for r in range(n // 2 + 1):
         gs = _independent_rows(spec, r, n - r)
@@ -142,8 +151,10 @@ def _square_zero_entries(spec, n):
 
 
 def _potent_splits(C, brute_cap):
-    """Every split (P, N) of C with N^2 = 0 and P = C - N potent, with N
-    in encoding order."""
+    """Every split (P, N, min_poly(P)) of C with N^2 = 0 and P = C - N
+    potent, with N in encoding order: potency is read off the minimal
+    polynomial, as is_potent reads it, and the polynomial goes along so
+    that a witness takes its exponent from it."""
     spec, n = C.spec, C.n
     if power_exceeds(spec.order, n * n, brute_cap):
         raise SearchSpaceTooLarge(f"{spec.order}^{n * n} candidate matrices "
@@ -151,18 +162,19 @@ def _potent_splits(C, brute_cap):
     for ent in _square_zero_entries(spec, n):
         N = Mat._raw(spec, n, ent)
         P = C - N
-        if is_potent(P):
-            yield P, N
+        mp = min_poly(P)
+        if _squarefree(mp):
+            yield P, N, mp
 
 
 def brute_decompose(C, brute_cap=DEFAULT_BRUTE_CAP):
     """First witness C = P + N with N^2 = 0 and P potent, scanning N over
     all square-zero matrices in encoding order; None when no N works."""
-    for P, N in _potent_splits(C, brute_cap):
+    for P, N, mp in _potent_splits(C, brute_cap):
         return Witness(
             potent=P,
             nilpotent=N,
-            exponent=potency_exponent(P),
+            exponent=min_poly_exponent(mp),
             commuting=(P * N == N * P),
             source="brute",
         )
@@ -174,7 +186,7 @@ def count_decompositions(C, brute_cap=DEFAULT_BRUTE_CAP):
     give a potent C - N, and how many of those pairs commute."""
     total = 0
     commuting = 0
-    for P, N in _potent_splits(C, brute_cap):
+    for P, N, _ in _potent_splits(C, brute_cap):
         total += 1
         if P * N == N * P:
             commuting += 1

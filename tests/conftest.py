@@ -9,18 +9,21 @@ exp/log tables by one generic multiplication per entry.
 potency_exponent_by_factoring takes the exponent from the trial-division
 factorization instead of the distinct-degree parts.  product_by_elements
 multiplies matrices by the naive triple loop through the field's element
-operations.
+operations.  element_loops switches every field's flat lookup tables off,
+so Mat, Poly, companion_of and the searches take the element loops that
+fields past the table bound keep.
 """
 
 import functools
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 
 from weakper import companion
-from weakper.gf import build_field, prime_factors
+from weakper.gf import FieldSpec, build_field, prime_factors
 from weakper.mat import Mat, min_poly
 from weakper.poly import Poly, factor, is_squarefree, pow_mod
 
@@ -196,6 +199,14 @@ def product_by_elements(A, B):
                 acc = add(acc, mul(A.entries[i * n + k], B.entries[k * n + j]))
             out.append(acc)
     return Mat(spec, n, out)
+
+
+def element_loops():
+    """A context within which FieldSpec._tables finds no tables for any
+    field, so each operation makes one FieldSpec call per term, as over a
+    field past the table bound: the reference the table paths are checked
+    against."""
+    return mock.patch.object(FieldSpec, "_tables", lambda spec: None)
 
 
 def random_matrix(rng, spec, n):

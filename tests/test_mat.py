@@ -159,8 +159,7 @@ class TestPrimeFieldProduct:
                     assert a - b == Mat(spec, n, map(
                         spec._sub, a.entries, b.entries)), (a, b)
 
-    def test_makes_no_element_product(self, gf4, gf5, seeded_rng,
-                                      monkeypatch):
+    def test_makes_no_element_product(self, gf5, seeded_rng, monkeypatch):
         calls = []
         for name in ("_add", "_sub", "_neg", "_mul"):
             def counted(spec, *args, name=name, op=getattr(FieldSpec, name)):
@@ -175,19 +174,24 @@ class TestPrimeFieldProduct:
             min_poly(a), det(a)
             linear_combination([a.entries, b.entries], (a + b).entries, gf5)
         assert calls == []
-        # an extension field still multiplies through its tables
-        random_matrix(seeded_rng, gf4, 3) * Mat.identity(gf4, 3)
+        # a field past the table bound still multiplies element by element
+        gf256 = build_field(2, 8)
+        random_matrix(seeded_rng, gf256, 3) * Mat.identity(gf256, 3)
         assert "_mul" in calls
 
-    def test_one_compiled_product_per_n(self, gf2, gf4, gf5, seeded_rng):
-        # the generated source depends on n alone: every prime shares it,
-        # and neither n > 4 nor an extension field compiles one
+    def test_one_compiled_product_per_n(self, gf2, gf4, gf5, gf8, gf9,
+                                        seeded_rng):
+        # the generated source depends on (n, kind) alone: every prime
+        # shares one, every field of characteristic 2 within the table
+        # bound another and every odd one a third, and neither n > 4 nor a
+        # field past the bound compiles one
         mat._straight_product.cache_clear()
-        for spec in (gf2, gf4, gf5, build_field(13, 1)):
+        for spec in (gf2, gf4, gf5, gf8, gf9, build_field(13, 1),
+                     build_field(5, 3), build_field(2, 8)):
             for n in range(1, 7):
                 random_matrix(seeded_rng, spec, n) * Mat.identity(spec, n)
         info = mat._straight_product.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
+        assert (info.misses, info.hits, info.currsize) == (12, 16, 12)
 
 
 class TestFieldIdentity:
