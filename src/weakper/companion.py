@@ -69,17 +69,10 @@ def companion_of(g):
     if n < 1:
         raise ZeroDegree("companion form needs degree >= 1")
     spec = g.spec
-    low = g.coeffs[:n]
-    if spec.l == 1:
-        column = [-c % spec.p for c in low]
-    elif (tables := spec._tables()) is not None:
-        column = tables.negate(low)
-    else:
-        column = [spec._neg(c) for c in low]
     entries = [0] * (n * n)
     for i in range(1, n):
         entries[i * n + (i - 1)] = 1
-    entries[n - 1::n] = column
+    entries[n - 1::n] = spec._ops().negate(g.coeffs[:n])
     return CompanionForm(poly=g, matrix=Mat._raw(spec, n, tuple(entries)))
 
 

@@ -10,7 +10,11 @@ Prime fields use the sentinel modulus X, stored as (0, 1).
 The arithmetic kernels the other layers share live here, each written once:
 power (square-and-multiply, for field elements, polynomials mod m and
 matrices alike), multiplicative_order, unity_powers (the powers of a
-primitive d-th root of unity) and horner.
+primitive d-th root of unity) and horner.  So is the one decision on how
+a field's vectors are added and multiplied: FieldSpec._ops() picks each
+field's backend once, from its order: IntOps (plain integers) for GF(p),
+FlatTables (lookup tables) for an extension field of order at most
+_ADD_TABLE_BOUND and ElementOps (one FieldSpec call per term) past it.
 """
 
 import functools
@@ -143,14 +147,106 @@ def _smallest_irreducible(p, l):
     raise NoRootFound(f"no irreducible of degree {l} over GF({p})")
 
 
-class FlatTables:
-    """Lookup tables of a small extension field GF(q), on encodings:
-    mul[x * q + y] is x * y and neg[x] is -x.  Kind "add" (odd
-    characteristic) adds through add[x * q + y]; kind "xor"
-    (characteristic 2) adds by x ^ y and has add None.
+class _Backend:
+    """The loops the backends share, on top of each one's axpy.
 
-    The methods take whole vectors (lists or tuples of encodings), so an
-    operation costs one call, not one FieldSpec call per entry.
+    A backend works on whole vectors (lists or tuples of encodings), so an
+    operation costs one call, not one FieldSpec call per entry.  Each one
+    has a kind and the same methods: plus, minus and times (entry by
+    entry), negate, scale (by one element), total and product (of the
+    entries), axpy and submul (out[off + i] += or -= c * vec[i], in
+    place), combine and matmul.
+    """
+    __slots__ = ()
+
+    def combine(self, coeffs, vectors, size):
+        """sum(coeffs[i] * vectors[i]) over vectors of length size."""
+        out = [0] * size
+        for c, vec in zip(coeffs, vectors):
+            if c:
+                self.axpy(out, c, vec)
+        return out
+
+    def matmul(self, a, b, n):
+        """The entries of the product of two n x n entry tuples."""
+        out = [0] * (n * n)
+        for i in range(n):
+            for k in range(n):
+                c = a[i * n + k]
+                if c:
+                    self.axpy(out, c, b[k * n:(k + 1) * n], i * n)
+        return out
+
+
+class IntOps(_Backend):
+    """The backend of GF(p), kind "p": plain integers, each result entry
+    reduced once mod p."""
+    __slots__ = ("p",)
+    kind = "p"
+
+    def __init__(self, p):
+        self.p = p
+
+    def plus(self, a, b):
+        p = self.p
+        return [(x + y) % p for x, y in zip(a, b)]
+
+    def minus(self, a, b):
+        p = self.p
+        return [(x - y) % p for x, y in zip(a, b)]
+
+    def negate(self, a):
+        p = self.p
+        return [-x % p for x in a]
+
+    def scale(self, c, a):
+        p = self.p
+        return [c * x % p for x in a]
+
+    def times(self, a, b):
+        p = self.p
+        return [x * y % p for x, y in zip(a, b)]
+
+    def axpy(self, out, c, vec, off=0):
+        p = self.p
+        for i, v in enumerate(vec, off):
+            if v:
+                out[i] = (out[i] + c * v) % p
+
+    def submul(self, out, c, vec, off=0):
+        p = self.p
+        for i, v in enumerate(vec, off):
+            if v:
+                out[i] = (out[i] - c * v) % p
+
+    def total(self, a):
+        return sum(a) % self.p
+
+    def product(self, a):
+        return math.prod(a) % self.p
+
+    def matmul(self, a, b, n):
+        # integer sums, each entry reduced once
+        out = [0] * (n * n)
+        for i in range(n):
+            ai = i * n
+            for k in range(n):
+                c = a[ai + k]
+                if c:
+                    bk = k * n
+                    for j in range(n):
+                        d = b[bk + j]
+                        if d:
+                            out[ai + j] += c * d
+        p = self.p
+        return [x % p for x in out]
+
+
+class FlatTables(_Backend):
+    """The backend of an extension field GF(q) with q <= _ADD_TABLE_BOUND:
+    lookup tables on encodings, mul[x * q + y] is x * y and neg[x] is -x.
+    Kind "add" (odd characteristic) adds through add[x * q + y]; kind "xor"
+    (characteristic 2) adds by x ^ y and has add None.
     """
     # a plain class: building a namedtuple class costs about 0.3 ms of
     # every process's import
@@ -164,14 +260,12 @@ class FlatTables:
         self.neg = neg
 
     def plus(self, a, b):
-        """[a[i] + b[i]] for a and b of equal length."""
         if self.add is None:
             return [x ^ y for x, y in zip(a, b)]
         add, q = self.add, self.q
         return [add[x * q + y] for x, y in zip(a, b)]
 
     def minus(self, a, b):
-        """[a[i] - b[i]] for a and b of equal length."""
         if self.add is None:
             return [x ^ y for x, y in zip(a, b)]
         add, neg, q = self.add, self.neg, self.q
@@ -182,9 +276,12 @@ class FlatTables:
         return [neg[x] for x in a]
 
     def scale(self, c, a):
-        """[c * a[i]]."""
         mul, cq = self.mul, c * self.q
         return [mul[cq + x] for x in a]
+
+    def times(self, a, b):
+        mul, q = self.mul, self.q
+        return [mul[x * q + y] for x, y in zip(a, b)]
 
     def axpy(self, out, c, vec, off=0):
         """out[off + i] += c * vec[i] for every i, in place."""
@@ -199,8 +296,11 @@ class FlatTables:
                 if v:
                     out[i] = add[out[i] * q + mul[cq + v]]
 
+    def submul(self, out, c, vec, off=0):
+        """out[off + i] -= c * vec[i] for every i, in place."""
+        self.axpy(out, self.neg[c], vec, off)
+
     def total(self, a):
-        """The sum of the entries of a."""
         if self.add is None:
             return functools.reduce(operator.xor, a, 0)
         add, q = self.add, self.q
@@ -208,6 +308,55 @@ class FlatTables:
         for x in a:
             acc = add[acc * q + x]
         return acc
+
+    def product(self, a):
+        mul, q = self.mul, self.q
+        return functools.reduce(lambda x, y: mul[x * q + y], a, 1)
+
+
+class ElementOps(_Backend):
+    """The backend of a field past the table bound, kind "element": one
+    FieldSpec call per term, looked up on every call."""
+    __slots__ = ("spec",)
+    kind = "element"
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def plus(self, a, b):
+        return list(map(self.spec._add, a, b))
+
+    def minus(self, a, b):
+        return list(map(self.spec._sub, a, b))
+
+    def negate(self, a):
+        return list(map(self.spec._neg, a))
+
+    def scale(self, c, a):
+        mul = self.spec._mul
+        return [mul(c, x) for x in a]
+
+    def times(self, a, b):
+        return list(map(self.spec._mul, a, b))
+
+    def axpy(self, out, c, vec, off=0):
+        add, mul = self.spec._add, self.spec._mul
+        for i, v in enumerate(vec, off):
+            if v:
+                out[i] = add(out[i], mul(c, v))
+
+    def submul(self, out, c, vec, off=0):
+        self.axpy(out, self.spec._neg(c), vec, off)
+
+    def total(self, a):
+        add = self.spec._add
+        acc = 0
+        for x in a:
+            acc = add(acc, x)
+        return acc
+
+    def product(self, a):
+        return functools.reduce(self.spec._mul, a, 1)
 
 
 class FieldSpec:
@@ -219,7 +368,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "l", "order", "modulus", "_hash", "_exp", "_log",
-                 "_add_table", "_flat", "_gen")
+                 "_add_table", "_backend", "_gen")
 
     def __init__(self, p, l, modulus):
         self.p = p
@@ -230,7 +379,7 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._add_table = None
-        self._flat = None
+        self._backend = None
         self._gen = None
 
     def __eq__(self, other):
@@ -347,7 +496,15 @@ class FieldSpec:
         if k < 0:
             x = self._inv(x)
             k = -k
-        return power(x, k, self._mul) if k else 1
+        if self.l == 1:
+            return pow(x, k, self.p)
+        if not x or not k:
+            return 0 if k else 1
+        if self.order <= _MUL_TABLE_BOUND:
+            if self._exp is None:
+                self._build_mul_tables()
+            return self._exp[self._log[x] * k % (self.order - 1)]
+        return power(x, k, self._mul)
 
     def _inv(self, x):
         if x == 0:
@@ -356,24 +513,27 @@ class FieldSpec:
         if x == 1:  # every element of GF(2), and every monic divisor's lead
             return 1
         if self.l == 1:
-            # Fermat on plain integers, with no element call per step
-            p = self.p
-            return power(x, p - 2, lambda a, b: a * b % p)
+            return pow(x, -1, self.p)
         exp = self._exp
         if exp is not None:
             n = self.order - 1
             return exp[(n - self._log[x]) % n]
         return power(x, self.order - 2, self._mul)
 
-    def _tables(self):
-        """The FlatTables of an extension field of order at most
-        _ADD_TABLE_BOUND, built on first use; None for a prime field, which
-        runs on plain integers, and for a larger field, which keeps its
-        element arithmetic."""
-        tables = self._flat
-        if tables is None and self.l > 1 and self.order <= _ADD_TABLE_BOUND:
-            tables = self._build_flat_tables()
-        return tables
+    def _ops(self):
+        """The field's one vector backend, picked from its order on first
+        use: IntOps for a prime field, FlatTables for an extension field
+        of order at most _ADD_TABLE_BOUND and ElementOps past it."""
+        ops = self._backend
+        if ops is None:
+            if self.l == 1:
+                ops = IntOps(self.p)
+            elif self.order <= _ADD_TABLE_BOUND:
+                ops = self._build_flat_tables()
+            else:
+                ops = ElementOps(self)
+            self._backend = ops
+        return ops
 
     def _build_flat_tables(self):
         # every product is read off the exp/log tables, with no digit
@@ -392,30 +552,19 @@ class FieldSpec:
             tables = FlatTables(
                 "add", q, mul, self._add_table or self._build_add_table(),
                 [0] + [exp[lx + half] for lx in logs])
-        self._flat = tables
         return tables
 
     def _build_add_table(self):
-        q, p, l = self.order, self.p, self.l
-        digs = []
-        for x in range(q):
-            v = x
-            d = []
-            for _ in range(l):
-                d.append(v % p)
-                v //= p
-            digs.append(d)
-        table = [0] * (q * q)
-        for x in range(q):
-            dx = digs[x]
-            row = x * q
-            for y in range(x, q):
-                dy = digs[y]
-                s = 0
-                for i in range(l - 1, -1, -1):
-                    s = s * p + (dx[i] + dy[i]) % p
-                table[row + y] = s
-                table[y * q + x] = s
+        # x = h p + d adds to y = h' p + d' as (h + h') p + (d + d') mod p,
+        # and h + h' is read off row h, whose first q / p entries are the
+        # sums of elements with a top digit of 0
+        q, p = self.order, self.p
+        low_sums = [[(d + e) % p for e in range(p)] for d in range(p)]
+        rows = [range(q)]
+        for x in range(1, q):
+            rows.append([h * p + lo for h in rows[x // p][:q // p]
+                         for lo in low_sums[x % p]])
+        table = list(itertools.chain.from_iterable(rows))
         self._add_table = table
         return table
 

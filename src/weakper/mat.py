@@ -3,12 +3,10 @@ rest of the package builds on: division-free characteristic polynomials,
 minimal polynomials via Krylov elimination, and potency tests.  _reduce
 is the one elimination loop: min_poly, det, linear_combination and the
 square-zero enumerator's rank test in search all reduce through it.
-Over a prime field, +, -, *, trace and _reduce's row operations run on
-plain ints with no FieldSpec call per entry; over an extension field of
-order at most gf._ADD_TABLE_BOUND they read its FlatTables, and only a
-larger field makes one FieldSpec call per term.  For n <= 4 the product
-is straight-line code, compiled once per n and field kind
-(_straight_product).
++, -, *, scale, trace, det and _reduce's row operations are each one
+call to the field's vector backend, spec._ops(), which gf picks from the
+field's order.  For n <= 4 the product is straight-line code, compiled
+once per n and backend kind (_straight_product).
 
 A matrix M counts as potent when its minimal polynomial is squarefree.
 That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
@@ -47,43 +45,45 @@ _POTENCY_CACHE_SIZE = 4096
 # the largest n whose product is straight-line code: its source grows as
 # n^3, and compiling the GF(p) one took 0.26 ms at n = 4 but 23 ms at n = 20
 _STRAIGHT_LINE_N = 4
-# the field kinds with a straight-line product: GF(p), and the two kinds of
-# gf.FlatTables
-_PRODUCT_KINDS = ("p", "xor", "add")
+# the kinds of the field backends (gf.FieldSpec._ops), one straight-line
+# product each: the locals the product reads off its backend t, the
+# unpacking of a (the table kinds pre-scale the a-entries by q), one term
+# and the sum of two terms
+_PRODUCT_KINDS = {
+    "p": ("p = t.p", "a", "{} * {}", "{} + {}"),
+    "xor": ("q, mul = t.q, t.mul", "[x * q for x in a]",
+            "mul[{} + {}]", "{} ^ {}"),
+    "add": ("q, mul, add = t.q, t.mul, t.add", "[x * q for x in a]",
+            "mul[{} + {}]", "add[{} * q + {}]"),
+    "element": ("mul, add = t.spec._mul, t.spec._add", "a",
+                "mul({}, {})", "add({}, {})"),
+}
 
 
 @functools.lru_cache(maxsize=_STRAIGHT_LINE_N * len(_PRODUCT_KINDS))
 def _straight_product(n, kind):
-    """The product of two n x n entry tuples a and b, compiled once per
-    (n, kind) as one expression with no loop.  Kind "p" takes the prime p:
-    entry (i, j) is the integer sum of a[i n + k] * b[k n + j] over k,
-    reduced mod p.  Kinds "xor" and "add" take the field's FlatTables t,
-    and the a-entries come pre-scaled by q: each term is
-    t.mul[a[i n + k] * q + b[k n + j]], and the terms add by ^ ("xor") or
-    by nested t.add lookups ("add").  The source depends on (n, kind)
-    alone, so one function serves every field of that kind."""
+    """The product of two n x n entry tuples a and b over a field whose
+    backend t has the given kind, compiled once per (n, kind) as one
+    expression with no loop.  Kind "p" sums the integer products
+    a[i n + k] * b[k n + j] over k and reduces the sum mod t.p.  The table
+    kinds read each product as t.mul[a[i n + k] * q + b[k n + j]] and add
+    by ^ ("xor") or by nested t.add lookups ("add").  Kind "element" makes
+    one FieldSpec._mul per product and one _add per sum.  The source
+    depends on (n, kind) alone, so one function serves every field of that
+    kind."""
     a = [f"a{i}" for i in range(n * n)]
     b = [f"b{i}" for i in range(n * n)]
+    names, unpack, term, plus = _PRODUCT_KINDS[kind]
 
     def entry(i, j):
-        terms = [(a[i * n + k], b[k * n + j]) for k in range(n)]
-        if kind == "p":
-            return "(" + " + ".join(f"{x} * {y}" for x, y in terms) + ") % p"
-        if kind == "xor":
-            return " ^ ".join(f"mul[{x} + {y}]" for x, y in terms)
-        acc = "mul[{} + {}]".format(*terms[0])
-        for x, y in terms[1:]:
-            acc = f"add[{acc} * q + mul[{x} + {y}]]"
-        return acc
+        total = functools.reduce(plus.format, [
+            term.format(a[i * n + k], b[k * n + j]) for k in range(n)])
+        return f"({total}) % p" if kind == "p" else total
 
     entries = ", ".join(entry(i, j) for i in range(n) for j in range(n))
-    if kind == "p":
-        head = f"def product(a, b, p):\n    {', '.join(a)}, = a\n"
-    else:
-        head = (f"def product(a, b, t):\n"
-                f"    q, mul, add = t.q, t.mul, t.add\n"
-                f"    {', '.join(a)}, = [x * q for x in a]\n")
-    source = (f"{head}"
+    source = (f"def product(a, b, t):\n"
+              f"    {names}\n"
+              f"    {', '.join(a)}, = {unpack}\n"
               f"    {', '.join(b)}, = b\n"
               f"    return ({entries},)\n")
     namespace = {}
@@ -179,50 +179,20 @@ class Mat:
             return NotImplemented
         self._compatible(other)
         spec = self.spec
-        if spec.l == 1:
-            p = spec.p
-            return Mat._raw(spec, self.n,
-                            tuple([(a + b) % p for a, b
-                                   in zip(self.entries, other.entries)]))
-        tables = spec._tables()
-        if tables is not None:
-            return Mat._raw(spec, self.n,
-                            tuple(tables.plus(self.entries, other.entries)))
-        add = spec._add
-        return Mat._raw(spec, self.n,
-                        tuple(add(a, b)
-                              for a, b in zip(self.entries, other.entries)))
+        return Mat._raw(spec, self.n, tuple(
+            spec._ops().plus(self.entries, other.entries)))
 
     def __neg__(self):
         spec = self.spec
-        if spec.l == 1:
-            p = spec.p
-            return Mat._raw(spec, self.n,
-                            tuple([-a % p for a in self.entries]))
-        tables = spec._tables()
-        if tables is not None:
-            return Mat._raw(spec, self.n, tuple(tables.negate(self.entries)))
-        neg = spec._neg
-        return Mat._raw(spec, self.n, tuple(neg(a) for a in self.entries))
+        return Mat._raw(spec, self.n, tuple(spec._ops().negate(self.entries)))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         self._compatible(other)
         spec = self.spec
-        if spec.l == 1:
-            p = spec.p
-            return Mat._raw(spec, self.n,
-                            tuple([(a - b) % p for a, b
-                                   in zip(self.entries, other.entries)]))
-        tables = spec._tables()
-        if tables is not None:
-            return Mat._raw(spec, self.n,
-                            tuple(tables.minus(self.entries, other.entries)))
-        sub = spec._sub
-        return Mat._raw(spec, self.n,
-                        tuple(sub(a, b)
-                              for a, b in zip(self.entries, other.entries)))
+        return Mat._raw(spec, self.n, tuple(
+            spec._ops().minus(self.entries, other.entries)))
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -230,61 +200,16 @@ class Mat:
         self._compatible(other)
         spec, n = self.spec, self.n
         a, b = self.entries, other.entries
-        if spec.l == 1:
-            if n <= _STRAIGHT_LINE_N:
-                return Mat._raw(spec, n,
-                                _straight_product(n, "p")(a, b, spec.p))
-            # GF(p): plain integer sums, each entry reduced once
-            out = [0] * (n * n)
-            for i in range(n):
-                ai = i * n
-                for k in range(n):
-                    c = a[ai + k]
-                    if c:
-                        bk = k * n
-                        for j in range(n):
-                            d = b[bk + j]
-                            if d:
-                                out[ai + j] += c * d
-            p = spec.p
-            return Mat._raw(spec, n, tuple([x % p for x in out]))
-        tables = spec._tables()
-        if tables is not None and n <= _STRAIGHT_LINE_N:
-            return Mat._raw(spec, n,
-                            _straight_product(n, tables.kind)(a, b, tables))
-        out = [0] * (n * n)
-        if tables is not None:
-            for i in range(n):
-                for k in range(n):
-                    c = a[i * n + k]
-                    if c:
-                        tables.axpy(out, c, b[k * n:(k + 1) * n], i * n)
-            return Mat._raw(spec, n, tuple(out))
-        mul, add = spec._mul, spec._add
-        for i in range(n):
-            ai = i * n
-            for k in range(n):
-                c = a[ai + k]
-                if c:
-                    bk = k * n
-                    for j in range(n):
-                        if b[bk + j]:
-                            out[ai + j] = add(out[ai + j], mul(c, b[bk + j]))
-        return Mat._raw(spec, n, tuple(out))
+        ops = spec._ops()
+        if n <= _STRAIGHT_LINE_N:
+            return Mat._raw(spec, n, _straight_product(n, ops.kind)(a, b, ops))
+        return Mat._raw(spec, n, tuple(ops.matmul(a, b, n)))
 
     def scale(self, c):
         spec = self.spec
         spec.check(c)
-        if spec.l == 1:
-            p = spec.p
-            return Mat._raw(spec, self.n,
-                            tuple([c * a % p for a in self.entries]))
-        tables = spec._tables()
-        if tables is not None:
-            return Mat._raw(spec, self.n,
-                            tuple(tables.scale(c, self.entries)))
-        mul = spec._mul
-        return Mat._raw(spec, self.n, tuple(mul(c, a) for a in self.entries))
+        return Mat._raw(spec, self.n,
+                        tuple(spec._ops().scale(c, self.entries)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -295,18 +220,7 @@ class Mat:
         return power(self, k, operator.mul)
 
     def trace(self):
-        spec = self.spec
-        diagonal = self.entries[::self.n + 1]
-        if spec.l == 1:
-            return sum(diagonal) % spec.p
-        tables = spec._tables()
-        if tables is not None:
-            return tables.total(diagonal)
-        add = spec._add
-        acc = 0
-        for a in diagonal:
-            acc = add(acc, a)
-        return acc
+        return self.spec._ops().total(self.entries[::self.n + 1])
 
     def transpose(self):
         n = self.n
@@ -385,60 +299,23 @@ def _reduce(basis, vec, combo, spec):
     their pivots, and vec ends 0 at every pivot: it reduces to 0 exactly
     when it lies in the span of the rows.
     """
-    if spec.l == 1:
-        # GF(p): each row operation on plain integers, reduced once
-        p = spec.p
-        for row, pivot, row_combo in basis:
-            c = vec[pivot]
-            if c:
-                for idx, v in enumerate(row):
-                    if v:
-                        vec[idx] = (vec[idx] - c * v) % p
-                for idx, v in enumerate(row_combo):
-                    if v:
-                        combo[idx] = (combo[idx] - c * v) % p
-        return next((idx for idx, v in enumerate(vec) if v), None)
-    tables = spec._tables()
-    if tables is not None:
-        neg = tables.neg
-        for row, pivot, row_combo in basis:
-            c = vec[pivot]
-            if c:
-                tables.axpy(vec, neg[c], row)
-                tables.axpy(combo, neg[c], row_combo)
-        return next((idx for idx, v in enumerate(vec) if v), None)
-    sub, mul = spec._sub, spec._mul
+    ops = spec._ops()
     for row, pivot, row_combo in basis:
         c = vec[pivot]
         if c:
-            for idx, v in enumerate(row):
-                if v:
-                    vec[idx] = sub(vec[idx], mul(c, v))
-            for idx, v in enumerate(row_combo):
-                if v:
-                    combo[idx] = sub(combo[idx], mul(c, v))
+            ops.submul(vec, c, row)
+            ops.submul(combo, c, row_combo)
     return next((idx for idx, v in enumerate(vec) if v), None)
 
 
 def _basis_row(vec, pivot, combo, spec):
     """The basis row of a vector _reduce left nonzero at pivot: vec and
     combo scaled so that vec holds 1 there."""
-    if spec.l == 1:
-        p = spec.p
-        scale = pow(vec[pivot], -1, p)
-        if scale != 1:
-            vec = [scale * v % p for v in vec]
-            combo = [scale * v % p for v in combo]
-        return vec, pivot, combo
     scale = spec._inv(vec[pivot])
     if scale == 1:
         return vec, pivot, combo
-    tables = spec._tables()
-    if tables is not None:
-        return tables.scale(scale, vec), pivot, tables.scale(scale, combo)
-    mul = spec._mul
-    return ([mul(scale, v) for v in vec], pivot,
-            [mul(scale, v) for v in combo])
+    ops = spec._ops()
+    return ops.scale(scale, vec), pivot, ops.scale(scale, combo)
 
 
 def det(M):
@@ -459,17 +336,9 @@ def det(M):
     pivots = [pivot for _, pivot, _ in basis]
     inversions = sum(a > b for j, a in enumerate(pivots)
                      for b in pivots[j + 1:])
-    if spec.l == 1:
-        p = spec.p
-        out = math.prod(leads) % p
-        return -out % p if inversions % 2 else out
-    tables = spec._tables()
-    if tables is not None:
-        mul, q = tables.mul, tables.q
-        out = functools.reduce(lambda x, y: mul[x * q + y], leads, 1)
-        return tables.neg[out] if inversions % 2 else out
-    out = functools.reduce(spec._mul, leads, 1)
-    return spec._neg(out) if inversions % 2 else out
+    if inversions % 2:
+        leads.append(spec.p - 1)  # -1, a prime-field element
+    return spec._ops().product(leads)
 
 
 def min_poly(M):
@@ -605,9 +474,4 @@ def linear_combination(vectors, target, spec):
     combo = [0] * k
     if _reduce(basis, list(target), combo, spec) is not None:
         return None
-    if spec.l == 1:
-        return tuple([-c % spec.p for c in combo])
-    tables = spec._tables()
-    if tables is not None:
-        return tuple(tables.negate(combo))
-    return tuple(map(spec._neg, combo))
+    return tuple(spec._ops().negate(combo))

@@ -2,10 +2,9 @@
 
 Coefficients are stored ascending (index = degree) in a canonical tuple with
 no trailing zeros; the zero polynomial has an empty tuple and degree -1.
-pow_mod and evaluation run through gf's power and horner kernels.
-Arithmetic runs on plain ints over a prime field and reads the field's
-FlatTables over an extension field of order at most gf._ADD_TABLE_BOUND;
-only a larger field makes one FieldSpec call per term.
+pow_mod and evaluation run through gf's power and horner kernels, and
++, -, *, scale, divmod and the derivative through the field's vector
+backend, spec._ops().
 """
 
 import itertools
@@ -117,28 +116,14 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        if spec.l == 1:
-            p = spec.p
-            for i, c in enumerate(b):
-                out[i] = (out[i] + c) % p
-        elif (tables := spec._tables()) is not None:
-            tables.axpy(out, 1, b)
-        else:
-            for i, c in enumerate(b):
-                out[i] = spec._add(out[i], c)
+        spec._ops().axpy(out, 1, b)
         while out and out[-1] == 0:
             out.pop()
         return Poly._raw(spec, tuple(out))
 
     def __neg__(self):
         spec = self.spec
-        if spec.l == 1:
-            p = spec.p
-            return Poly._raw(spec, tuple([-c % p for c in self.coeffs]))
-        tables = spec._tables()
-        if tables is not None:
-            return Poly._raw(spec, tuple(tables.negate(self.coeffs)))
-        return Poly._raw(spec, tuple(spec._neg(c) for c in self.coeffs))
+        return Poly._raw(spec, tuple(spec._ops().negate(self.coeffs)))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -153,29 +138,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(spec)
+        ops = spec._ops()
         out = [0] * (len(a) + len(b) - 1)
-        if spec.l == 1:
-            # GF(p): plain integer sums, each coefficient reduced once
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[i + j] += ai * bj
-            p = spec.p
-            out = [c % p for c in out]
-        elif (tables := spec._tables()) is not None:
-            for i, ai in enumerate(a):
-                if ai:
-                    tables.axpy(out, ai, b, i)
-        else:
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[i + j] = spec._add(out[i + j],
-                                                   spec._mul(ai, bj))
-        while out and out[-1] == 0:
-            out.pop()
+        for i, ai in enumerate(a):
+            if ai:
+                ops.axpy(out, ai, b, i)
+        # the leads multiply to a nonzero lead: out has no trailing zero
         return Poly._raw(spec, tuple(out))
 
     def scale(self, c):
@@ -183,13 +151,7 @@ class Poly:
         spec.check(c)
         if c == 0:
             return Poly.zero(spec)
-        if spec.l == 1:
-            p = spec.p
-            return Poly._raw(spec, tuple([a * c % p for a in self.coeffs]))
-        tables = spec._tables()
-        if tables is not None:
-            return Poly._raw(spec, tuple(tables.scale(c, self.coeffs)))
-        return Poly._raw(spec, tuple(spec._mul(a, c) for a in self.coeffs))
+        return Poly._raw(spec, tuple(spec._ops().scale(c, self.coeffs)))
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -200,51 +162,26 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(spec), self
+        ops = spec._ops()
+        # divide by the monic den, then scale the quotient back; each
+        # step's subtraction clears rem[k] with den's lead
         inv_lead = spec._inv(other.lead)
-        rem = list(self.coeffs)
-        dd = other.degree
         den = other.coeffs
+        if inv_lead != 1:
+            den = ops.scale(inv_lead, den)
+        dd = other.degree
+        rem = list(self.coeffs)
         quot = [0] * (len(rem) - dd)
-        if spec.l == 1:
-            # GF(p): rem holds plain integers, each reduced when it is
-            # read; the loop reads each entry from k = dd on once, and
-            # leaves the remainder below dd
-            p = spec.p
-            for k in range(len(rem) - 1, dd - 1, -1):
-                c = rem[k] % p
-                if c:
-                    c = c * inv_lead % p
-                    quot[k - dd] = c
-                    off = k - dd
-                    for j in range(dd):
-                        if den[j]:
-                            rem[off + j] -= c * den[j]
-            rem = [c % p for c in rem[:dd]]
-        elif (tables := spec._tables()) is not None:
-            # subtracting c * den with its lead clears rem[k] as well
-            mul, neg, q = tables.mul, tables.neg, tables.q
-            for k in range(len(rem) - 1, dd - 1, -1):
-                c = rem[k]
-                if c:
-                    c = mul[c * q + inv_lead]
-                    quot[k - dd] = c
-                    tables.axpy(rem, neg[c], den, k - dd)
-        else:
-            for k in range(len(rem) - 1, dd - 1, -1):
-                c = rem[k]
-                if c:
-                    c = spec._mul(c, inv_lead)
-                    quot[k - dd] = c
-                    off = k - dd
-                    for j in range(dd):
-                        if den[j]:
-                            rem[off + j] = spec._sub(rem[off + j],
-                                                     spec._mul(c, den[j]))
-                rem[k] = 0
+        for k in range(len(rem) - 1, dd - 1, -1):
+            c = rem[k]
+            if c:
+                quot[k - dd] = c
+                ops.submul(rem, c, den, k - dd)
+        if inv_lead != 1:
+            quot = ops.scale(inv_lead, quot)
+        del rem[dd:]
         while rem and rem[-1] == 0:
             rem.pop()
-        while quot and quot[-1] == 0:
-            quot.pop()
         return Poly._raw(spec, tuple(quot)), Poly._raw(spec, tuple(rem))
 
     def __floordiv__(self, other):
@@ -262,16 +199,10 @@ class Poly:
 
     def derivative(self):
         spec = self.spec
-        p = spec.p
-        if spec.l == 1:
-            out = [c * i % p for i, c in enumerate(self.coeffs[1:], 1)]
-        elif (tables := spec._tables()) is not None:
-            mul, q = tables.mul, tables.q
-            out = [mul[c * q + i % p]
-                   for i, c in enumerate(self.coeffs[1:], 1)]
-        else:
-            out = [spec._mul(self.coeffs[i], i % p)
-                   for i in range(1, len(self.coeffs))]
+        cs = self.coeffs
+        # i c is c times the prime-field element i mod p
+        out = spec._ops().times(cs[1:],
+                                [i % spec.p for i in range(1, len(cs))])
         while out and out[-1] == 0:
             out.pop()
         return Poly._raw(spec, tuple(out))

@@ -194,8 +194,8 @@ def _spectra_by_evaluation(m, patterns, spec, ext_bound, field_bound):
         home = root_extension(spec, d, field_bound)
         return embed(v, sub, home), home
 
-    tables = split._tables()
-    columns = {}  # e -> (zeta^(e j) for j < m'), for the tables
+    ops = split._ops()
+    columns = {}  # e -> (zeta^(e j) for j < m')
 
     def column(e):
         if e not in columns:
@@ -205,19 +205,8 @@ def _spectra_by_evaluation(m, patterns, spec, ext_bound, field_bound):
     for pattern in patterns:
         # a weight mod p is a prime-field element, encoded as itself
         weights = [(e, w % p) for e, w in pattern.coeffs if w % p]
-        if tables is not None:
-            sums = [0] * order
-            for e, w in weights:
-                tables.axpy(sums, w, column(e))
-            values = set(sums)
-        else:
-            values = set()
-            for j in range(order):
-                acc = 0
-                for e, w in weights:
-                    acc = split._add(acc,
-                                     split._mul(powers[e * j % order], w))
-                values.add(acc)
+        values = set(ops.combine([w for _, w in weights],
+                                 [column(e) for e, _ in weights], order))
         fresh = []
         for v in values - placed.keys():
             e = prime_degree(v)

@@ -61,20 +61,7 @@ MODES = ("constructive", "brute", "commuting")
 
 def _combine(spec, coeffs, vectors, size):
     """sum(coeffs[i] * vectors[i]) over flat entry tuples of length size."""
-    out = [0] * size
-    tables = spec._tables()
-    if tables is not None:
-        for c, vec in zip(coeffs, vectors):
-            if c:
-                tables.axpy(out, c, vec)
-        return tuple(out)
-    mul, add = spec._mul, spec._add
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            for idx, v in enumerate(vec):
-                if v:
-                    out[idx] = add(out[idx], mul(c, v))
-    return tuple(out)
+    return tuple(spec._ops().combine(coeffs, vectors, size))
 
 
 def _independent_rows(spec, r, m):
@@ -123,8 +110,7 @@ def _square_zero_entries(spec, n):
     functionals, the phi_k are the rows of G.A for a unique full-rank
     r x (n - r) matrix G; r ranges over 0..n//2.
     """
-    tables = spec._tables()
-    neg = spec._neg if tables is None else tables.neg.__getitem__
+    negate = spec._ops().negate
     out = []
     for r in range(n // 2 + 1):
         gs = _independent_rows(spec, r, n - r)
@@ -136,8 +122,8 @@ def _square_zero_entries(spec, n):
                 if j not in pivots:
                     phi = [0] * n
                     phi[j] = 1
-                    for k, p in enumerate(pivots):
-                        phi[p] = neg(rows[k][j])
+                    for p, v in zip(pivots, negate([w[j] for w in rows])):
+                        phi[p] = v
                     annihilator.append(phi)
             # row i of N is sum_k w_k[i] phi_k
             columns = [tuple(w[i] for w in rows) for i in range(n)]

@@ -5,11 +5,12 @@ char_poly_laplace expands the characteristic determinant by cofactors over
 polynomial entries, min_poly_scan finds the minimal polynomial by
 enumerating monic candidates in encoding order, square_zero_oracle
 filters all q^(n^2) matrices for N^2 = 0, and exp_log_chain builds the
-exp/log tables by one generic multiplication per entry.
+exp/log tables by one generic multiplication per entry; add_by_digits
+adds two elements digit by digit.
 potency_exponent_by_factoring takes the exponent from the trial-division
 factorization instead of the distinct-degree parts.  product_by_elements
 multiplies matrices by the naive triple loop through the field's element
-operations.  element_loops switches every field's flat lookup tables off,
+operations.  element_loops switches every field to the element backend,
 so Mat, Poly, companion_of and the searches take the element loops that
 fields past the table bound keep.
 """
@@ -23,7 +24,7 @@ from unittest import mock
 import pytest
 
 from weakper import companion
-from weakper.gf import FieldSpec, build_field, prime_factors
+from weakper.gf import ElementOps, FieldSpec, build_field, prime_factors
 from weakper.mat import Mat, min_poly
 from weakper.poly import Poly, factor, is_squarefree, pow_mod
 
@@ -186,6 +187,16 @@ def exp_log_chain(spec):
     return exp, log
 
 
+def add_by_digits(spec, x, y):
+    """x + y in GF(p^l) by adding base-p digits mod p, one at a time."""
+    p = spec.p
+    out, place = 0, 1
+    for _ in range(spec.l):
+        out += (x % p + y % p) % p * place
+        x, y, place = x // p, y // p, place * p
+    return out
+
+
 def product_by_elements(A, B):
     """A * B by the naive triple loop, one spec._mul and spec._add per
     term."""
@@ -202,11 +213,11 @@ def product_by_elements(A, B):
 
 
 def element_loops():
-    """A context within which FieldSpec._tables finds no tables for any
-    field, so each operation makes one FieldSpec call per term, as over a
-    field past the table bound: the reference the table paths are checked
-    against."""
-    return mock.patch.object(FieldSpec, "_tables", lambda spec: None)
+    """A context within which FieldSpec._ops gives every field, GF(p)
+    included, the element backend, so each operation makes one FieldSpec
+    call per term, as over a field past the table bound: the reference the
+    integer and table backends are checked against."""
+    return mock.patch.object(FieldSpec, "_ops", lambda spec: ElementOps(spec))
 
 
 def random_matrix(rng, spec, n):

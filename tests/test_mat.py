@@ -181,17 +181,17 @@ class TestPrimeFieldProduct:
 
     def test_one_compiled_product_per_n(self, gf2, gf4, gf5, gf8, gf9,
                                         seeded_rng):
-        # the generated source depends on (n, kind) alone: every prime
-        # shares one, every field of characteristic 2 within the table
-        # bound another and every odd one a third, and neither n > 4 nor a
-        # field past the bound compiles one
+        # the generated source depends on (n, spec._ops().kind) alone:
+        # every prime shares one, every field of characteristic 2 within
+        # the table bound another, every odd one a third and every field
+        # past the bound a fourth, and n > 4 compiles none
         mat._straight_product.cache_clear()
         for spec in (gf2, gf4, gf5, gf8, gf9, build_field(13, 1),
                      build_field(5, 3), build_field(2, 8)):
             for n in range(1, 7):
                 random_matrix(seeded_rng, spec, n) * Mat.identity(spec, n)
         info = mat._straight_product.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (12, 16, 12)
+        assert (info.misses, info.hits, info.currsize) == (16, 16, 16)
 
 
 class TestFieldIdentity:

@@ -1,6 +1,7 @@
-"""The flat lookup tables of small extension fields (gf.FlatTables) and the
-Mat, Poly, companion and search paths that read them, checked against the
-element loops that fields past the table bound keep."""
+"""The vector backends of gf.FieldSpec._ops: plain integers for GF(p), the
+flat lookup tables of small extension fields (gf.FlatTables), and the
+element loops of fields past the table bound.  Mat, Poly, companion_of and
+the searches are checked on the first two against the element backend."""
 
 import itertools
 
@@ -13,11 +14,12 @@ from weakper.mat import Mat, det, linear_combination, min_poly
 from weakper.poly import Poly
 from weakper.rosets import _spectra_by_evaluation, weight_patterns
 
-from conftest import element_loops, random_matrix
+from conftest import add_by_digits, element_loops, random_matrix
 
 # every extension field with q <= 128 and p <= 13, as (p, l)
 TABLE_FIELDS = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2),
                 (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2))
+PRIME_FIELDS = ((2, 1), (3, 1), (5, 1), (13, 1))
 
 
 def test_table_fields_are_every_small_extension_field():
@@ -25,9 +27,26 @@ def test_table_fields_are_every_small_extension_field():
              if p ** l <= gf._ADD_TABLE_BOUND}
     assert small == set(TABLE_FIELDS)
     for p, l in TABLE_FIELDS:
-        assert build_field(p, l)._tables() is not None
+        assert isinstance(build_field(p, l)._ops(), gf.FlatTables)
     for p, l in ((2, 1), (13, 1), (2, 8), (3, 5), (13, 2)):
-        assert build_field(p, l)._tables() is None
+        assert not isinstance(build_field(p, l)._ops(), gf.FlatTables)
+
+
+def test_ops_picks_one_backend_per_field():
+    for p in (2, 3, 5, 7, 11, 13, 257):
+        spec = build_field(p, 1)
+        assert (spec._ops().kind, spec._ops().p) == ("p", p)
+    for p, l in TABLE_FIELDS:
+        spec = build_field(p, l)
+        assert spec._ops().kind == ("xor" if p == 2 else "add")
+        assert spec._ops().q == spec.order
+    for p, l in ((2, 8), (3, 5), (13, 2), (2, 16)):
+        spec = build_field(p, l)
+        assert isinstance(spec._ops(), gf.ElementOps)
+        assert (spec._ops().kind, spec._ops().spec) == ("element", spec)
+    for p, l in TABLE_FIELDS + PRIME_FIELDS + ((2, 8),):
+        spec = build_field(p, l)
+        assert spec._ops() is spec._ops()
 
 
 def _random_poly(rng, spec, degree):
@@ -69,7 +88,7 @@ def _poly_results(spec, rng):
 
 
 class TestTablePaths:
-    @pytest.mark.parametrize("p, l", TABLE_FIELDS)
+    @pytest.mark.parametrize("p, l", TABLE_FIELDS + PRIME_FIELDS)
     def test_matches_the_element_loops(self, p, l, seeded_rng):
         spec = build_field(p, l)
         state = seeded_rng.getstate()
@@ -82,7 +101,9 @@ class TestTablePaths:
         assert by_tables == by_elements
 
     @pytest.mark.parametrize("p, l, n", [(2, 2, 1), (2, 2, 2), (2, 2, 3),
-                                         (3, 2, 2)])
+                                         (3, 2, 2), (2, 1, 2), (2, 1, 3),
+                                         (3, 1, 2), (3, 1, 3), (5, 1, 2),
+                                         (13, 1, 2)])
     def test_square_zero_entries(self, p, l, n):
         spec = build_field(p, l)
         enumerate_ = search._square_zero_entries.__wrapped__
@@ -90,9 +111,12 @@ class TestTablePaths:
         with element_loops():
             assert enumerate_(spec, n) == by_tables
 
-    @pytest.mark.parametrize("p, m", [(2, 3), (2, 5), (2, 7), (5, 3)])
+    @pytest.mark.parametrize("p, m", [(2, 3), (2, 5), (2, 7), (5, 3),
+                                      (2, 4), (3, 2), (5, 4), (13, 6),
+                                      (7, 3)])
     def test_spectra_by_evaluation(self, p, m):
-        # splitting fields GF(4), GF(16), GF(8) and GF(25)
+        # splitting fields GF(4), GF(16), GF(8) and GF(25), then the
+        # prime fields GF(2), GF(3), GF(5), GF(13) and GF(7)
         spec = build_field(p, 1)
         patterns = weight_patterns(m, 3)
         by_tables = list(_spectra_by_evaluation(m, patterns, spec, 2,
@@ -115,7 +139,8 @@ def element_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("p, l", [(2, 2), (3, 2), (5, 3), (2, 7)])
+@pytest.mark.parametrize("p, l", [(2, 2), (3, 2), (5, 3), (2, 7), (3, 1),
+                                  (5, 1)])
 def test_makes_no_element_call(p, l, seeded_rng, element_calls):
     spec = build_field(p, l)
     _matrix_results(spec, seeded_rng)
@@ -123,8 +148,15 @@ def test_makes_no_element_call(p, l, seeded_rng, element_calls):
     vectors = [random_matrix(seeded_rng, spec, 2).entries for _ in range(3)]
     search._combine(spec, (1, 0, spec.order - 1), vectors, 4)
     if spec.order <= 9:
-        search._square_zero_entries.__wrapped__(spec, 2)
+        search._square_zero_entries.__wrapped__(
+            spec, 3 if spec.order == 3 else 2)
     assert element_calls == []
+    # over the splitting field GF(7) of m = 3 only unity_powers' walk
+    # 1, z, z^2 multiplies element by element, not the evaluation loop
+    list(_spectra_by_evaluation(3, weight_patterns(3, 3), build_field(7, 1),
+                                1, gf.DEFAULT_FIELD_BOUND))
+    assert element_calls == ["_mul"] * 2
+    del element_calls[:]
     # a field past the table bound keeps its element loops
     gf256 = build_field(2, 8)
     random_matrix(seeded_rng, gf256, 3).trace()
@@ -169,9 +201,9 @@ def test_tables_are_filled_by_lookup(p, l, monkeypatch):
     raw_mul = FieldSpec._raw_mul
     monkeypatch.setattr(FieldSpec, "_raw_mul",
                         lambda s, x, y: raw.append(1) or raw_mul(s, x, y))
-    tables = spec._tables()
+    tables = spec._ops()
     assert raw == []
-    assert spec._tables() is tables
+    assert spec._ops() is tables
     monkeypatch.undo()
     q = spec.order
     assert (tables.kind, tables.q) == ("xor" if p == 2 else "add", q)
@@ -180,3 +212,25 @@ def test_tables_are_filled_by_lookup(p, l, monkeypatch):
         if tables.add is not None:
             assert tables.add[x * q + y] == spec._add(x, y)
     assert tables.neg == [spec._neg(x) for x in range(q)]
+
+
+@pytest.mark.parametrize("p, l", [(p, l) for p, l in TABLE_FIELDS if p > 2])
+def test_add_table_matches_digit_oracle(p, l):
+    spec = FieldSpec(p, l, build_field(p, l).modulus)
+    q = spec.order
+    assert spec._build_add_table() == [
+        add_by_digits(spec, x, y) for x in range(q) for y in range(q)]
+
+
+@pytest.mark.parametrize("p, l", TABLE_FIELDS)
+def test_pow_reads_the_log_tables(p, l, element_calls):
+    spec = build_field(p, l)
+    q = spec.order
+    exponents = (1, q - 1, q, 10 ** 20 + 7)
+    by_squaring = [[gf.power(x, k, spec._mul) for k in exponents]
+                   for x in range(q)]
+    del element_calls[:]
+    assert [[spec._pow(x, k) for k in exponents]
+            for x in range(q)] == by_squaring
+    assert [spec._pow(x, 0) for x in range(q)] == [1] * q
+    assert element_calls == []
