@@ -6,6 +6,12 @@ Two same-size companions then differ only in the last column, and they have
 equal trace exactly when that difference squares to zero; building a potent
 companion with the prescribed trace therefore decomposes any companion into
 potent + square-zero parts.
+
+The hot loop of verify --mode constructive runs on entry tuples: the
+companions are filled from one template per n, trace_matched_decomposition
+reads the trace and C - P through the field's backend, and Witness.verify
+checks the sum and its three products (N.N, P.N and N.P) through the
+backend and mat._product without building a Mat.
 """
 
 import collections
@@ -23,8 +29,8 @@ from .errors import (
 from .gf import power_exceeds
 from .mat import (
     Mat,
+    _product,
     is_potent_at,
-    is_square_zero,
     min_poly,
     min_poly_exponent,
     potency_exponent,
@@ -61,6 +67,25 @@ class CompanionForm(collections.namedtuple("CompanionForm", "poly matrix")):
         return self.matrix.trace()
 
 
+def _companion_template(n):
+    """The entries of the n x n companions outside the last column: the
+    subdiagonal ones, as a list with 0 in the last column."""
+    template = [0] * (n * n)
+    for i in range(1, n):
+        template[i * n + (i - 1)] = 1
+    return template
+
+
+def _companion_entries(template, column):
+    """The entry tuple of the n x n companion whose last column is
+    column, (-a_0, ..., -a_{n-1}): a copy of template, the
+    _companion_template(n), with that column filled in."""
+    n = len(column)
+    entries = template[:]
+    entries[n - 1::n] = column
+    return tuple(entries)
+
+
 def companion_of(g):
     """Companion matrix of a monic polynomial of degree >= 1."""
     if g.is_zero() or not g.is_monic():
@@ -69,23 +94,29 @@ def companion_of(g):
     if n < 1:
         raise ZeroDegree("companion form needs degree >= 1")
     spec = g.spec
-    entries = [0] * (n * n)
-    for i in range(1, n):
-        entries[i * n + (i - 1)] = 1
-    entries[n - 1::n] = spec._ops().negate(g.coeffs[:n])
-    return CompanionForm(poly=g, matrix=Mat._raw(spec, n, tuple(entries)))
+    column = spec._ops().negate(g.coeffs[:n])
+    return CompanionForm(poly=g, matrix=Mat._raw(
+        spec, n, _companion_entries(_companion_template(n), column)))
 
 
 def enumerate_companions(n, spec, bound=DEFAULT_ENUM_BOUND):
-    """All q^n companion matrices, ordered by the tuple (a_0, ..., a_{n-1})."""
+    """All q^n companion matrices, ordered by the tuple (a_0, ..., a_{n-1}).
+
+    Negation maps the field onto itself entry by entry, so the last
+    columns (-a_0, ..., -a_{n-1}) run in the same order over the negated
+    elements: the field is negated once, not once per companion."""
     if not isinstance(n, int) or n < 1:
         raise BadDimension(f"dimension must be >= 1, got {n!r}")
     q = spec.order
     if power_exceeds(q, n, bound):
         raise EnumerationTooLarge(
             f"{q}^{n} companion matrices exceed the bound {bound}")
-    for low in itertools.product(range(q), repeat=n):
-        yield companion_of(Poly._raw(spec, low + (1,)))
+    template = _companion_template(n)
+    columns = itertools.product(spec._ops().negate(range(q)), repeat=n)
+    for low, column in zip(itertools.product(range(q), repeat=n), columns):
+        yield CompanionForm(
+            poly=Poly._raw(spec, low + (1,)),
+            matrix=Mat._raw(spec, n, _companion_entries(template, column)))
 
 
 def potent_companion_with_trace(t, n, spec):
@@ -107,15 +138,12 @@ def potent_companion_with_trace(t, n, spec):
     if q < n + 1:
         raise FieldTooSmall(
             f"need q >= n + 1 distinct elements, got q={q}, n={n}")
-    add = spec._add
+    ops = spec._ops()
     for roots in itertools.combinations(range(q), n):
-        acc = 0
-        for r in roots:
-            acc = add(acc, r)
-        if acc == t:
+        if ops.total(roots) == t:
             g = Poly.one(spec)
-            for r in roots:
-                g = g * Poly(spec, (spec._neg(r), 1))
+            for r in ops.negate(roots):
+                g = g * Poly._raw(spec, (r, 1))
             return companion_of(g)
     raise TraceNotRealizable(
         f"no {n} distinct elements of GF({q}) sum to {t}")
@@ -157,21 +185,33 @@ class Witness(collections.namedtuple(
     __slots__ = ()
 
     def verify(self, companion_matrix, require_commuting=False):
-        """Re-check every claim this witness makes.  The claims about the
-        potent part alone are memoised per (P, exponent) for constructive
-        witnesses, the only ones that share P (q of them per field and n);
-        the rest are checked on every call."""
-        P, N = self.potent, self.nilpotent
-        if P + N != companion_matrix:
+        """Re-check every claim this witness makes: P + N is the companion,
+        N^2 = 0, P is potent with this exponent, and P.N = N.P exactly
+        when the witness says they commute.  The sum and the three
+        products run on the entry tuples through the field's backend,
+        with no Mat built.  The claims about the potent part alone are
+        memoised per (P, exponent) for constructive witnesses, the only
+        ones that share P (q of them per field and n); the rest are
+        checked on every call."""
+        P, N, C = self.potent, self.nilpotent, companion_matrix
+        P._compatible(N)
+        spec, n = P.spec, P.n
+        if not (isinstance(C, Mat) and C.n == n
+                and (C.spec is spec or C.spec == spec)):
             return False
-        if not is_square_zero(N):
+        ops = spec._ops()
+        p, m = P.entries, N.entries
+        if tuple(ops.plus(p, m)) != C.entries:
+            return False
+        product = _product(n, ops)
+        if any(product(m, m, ops)):
             return False
         potent_claims_hold = (_potent_claims_hold
                               if self.source == "constructive"
                               else _potent_claims_hold.__wrapped__)
         if not potent_claims_hold(P, self.exponent):
             return False
-        if (P * N == N * P) != self.commuting:
+        if (product(p, m, ops) == product(m, p, ops)) != self.commuting:
             return False
         if require_commuting and not self.commuting:
             return False
@@ -202,8 +242,11 @@ def trace_matched_decomposition(form):
     the trace with a potent companion; the difference of two same-trace
     companions always squares to zero."""
     C = form.matrix
-    P, exponent = _potent_part(C.trace(), form.n, form.spec)
-    N = C - P
+    spec, n = C.spec, C.n
+    ops = spec._ops()
+    c = C.entries
+    P, exponent = _potent_part(ops.total(c[::n + 1]), n, spec)
+    N = Mat._raw(spec, n, tuple(ops.minus(c, P.entries)))
     return Witness(
         potent=P,
         nilpotent=N,

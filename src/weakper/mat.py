@@ -5,8 +5,11 @@ is the one elimination loop: min_poly, det, linear_combination and the
 square-zero enumerator's rank test in search all reduce through it.
 +, -, *, scale, trace, det and _reduce's row operations are each one
 call to the field's vector backend, spec._ops(), which gf picks from the
-field's order.  For n <= 4 the product is straight-line code, compiled
-once per n and backend kind (_straight_product).
+field's order.  Every matrix product comes from one selector, _product:
+for n <= 4 it is straight-line code, compiled once per n and backend
+kind (_straight_product), and past that the backend's matmul.  It works
+on entry tuples, so M ** k squares and multiplies tuples and wraps only
+the result, and Witness.verify builds no Mat for its products.
 
 A matrix M counts as potent when its minimal polynomial is squarefree.
 That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
@@ -24,7 +27,6 @@ and multiplicative_order kernels.
 
 import functools
 import math
-import operator
 
 from .errors import (
     BadDimension,
@@ -89,6 +91,23 @@ def _straight_product(n, kind):
     namespace = {}
     exec(compile(source, f"<{kind} product n={n}>", "exec"), namespace)
     return namespace["product"]
+
+
+def _matmul(a, b, t):
+    """The product of two n x n entry tuples by the backend's own matmul
+    loop, for n past _STRAIGHT_LINE_N."""
+    return tuple(t.matmul(a, b, math.isqrt(len(a))))
+
+
+def _product(n, ops):
+    """The product of two n x n entry tuples over the backend ops, called
+    as product(a, b, ops) and returning an entry tuple: the compiled
+    _straight_product for n <= _STRAIGHT_LINE_N and the backend's matmul
+    past it.  Mat.__mul__, Mat.__pow__ and Witness.verify all take their
+    products here, so the cut lives in this one place."""
+    if n <= _STRAIGHT_LINE_N:
+        return _straight_product(n, ops.kind)
+    return _matmul
 
 
 class Mat:
@@ -199,11 +218,9 @@ class Mat:
             return NotImplemented
         self._compatible(other)
         spec, n = self.spec, self.n
-        a, b = self.entries, other.entries
         ops = spec._ops()
-        if n <= _STRAIGHT_LINE_N:
-            return Mat._raw(spec, n, _straight_product(n, ops.kind)(a, b, ops))
-        return Mat._raw(spec, n, tuple(ops.matmul(a, b, n)))
+        return Mat._raw(spec, n,
+                        _product(n, ops)(self.entries, other.entries, ops))
 
     def scale(self, c):
         spec = self.spec
@@ -215,9 +232,13 @@ class Mat:
         if not isinstance(k, int) or k < 0:
             raise InputError(
                 f"matrix exponent must be a non-negative integer, got {k!r}")
+        spec, n = self.spec, self.n
         if not k:
-            return Mat.identity(self.spec, self.n)
-        return power(self, k, operator.mul)
+            return Mat.identity(spec, n)
+        ops = spec._ops()
+        product = _product(n, ops)
+        return Mat._raw(spec, n, power(self.entries, k,
+                                       lambda a, b: product(a, b, ops)))
 
     def trace(self):
         return self.spec._ops().total(self.entries[::self.n + 1])

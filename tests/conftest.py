@@ -12,7 +12,9 @@ factorization instead of the distinct-degree parts.  product_by_elements
 multiplies matrices by the naive triple loop through the field's element
 operations.  element_loops switches every field to the element backend,
 so Mat, Poly, companion_of and the searches take the element loops that
-fields past the table bound keep.
+fields past the table bound keep.  verify_by_mats re-checks a witness on
+Mat objects, one Mat per sum and product, as Witness.verify did before it
+ran on entry tuples.
 """
 
 import functools
@@ -23,9 +25,9 @@ from unittest import mock
 
 import pytest
 
-from weakper import companion
+from weakper import companion, mat
 from weakper.gf import ElementOps, FieldSpec, build_field, prime_factors
-from weakper.mat import Mat, min_poly
+from weakper.mat import Mat, is_square_zero, min_poly
 from weakper.poly import Poly, factor, is_squarefree, pow_mod
 
 SEED = 1729
@@ -212,6 +214,25 @@ def product_by_elements(A, B):
     return Mat(spec, n, out)
 
 
+def verify_by_mats(witness, companion_matrix, require_commuting=False):
+    """Witness.verify on Mat objects: P + N, N * N, P * N and N * P each
+    build a Mat through Mat's operators, and the potent-part claims are
+    checked afresh, with no memo.  The oracle the entry-tuple checker is
+    held to."""
+    P, N = witness.potent, witness.nilpotent
+    if P + N != companion_matrix:
+        return False
+    if not is_square_zero(N):
+        return False
+    if not companion._potent_claims_hold.__wrapped__(P, witness.exponent):
+        return False
+    if (P * N == N * P) != witness.commuting:
+        return False
+    if require_commuting and not witness.commuting:
+        return False
+    return True
+
+
 def element_loops():
     """A context within which FieldSpec._ops gives every field, GF(p)
     included, the element backend, so each operation makes one FieldSpec
@@ -246,17 +267,25 @@ def exponent_route_rejects(monkeypatch):
 @pytest.fixture
 def mat_product_budget(monkeypatch):
     """Fail a test the moment it multiplies more than `budget` matrices;
-    call the fixture with the budget."""
+    call the fixture with the budget.  Products are counted at
+    mat._product, the selector Mat.__mul__, Mat.__pow__ and
+    Witness.verify take them from, in every module that binds it."""
     def install(budget):
         used = [0]
-        product = Mat.__mul__
+        select = mat._product
 
-        def counted(a, b):
-            used[0] += 1
-            assert used[0] <= budget, f"more than {budget} matrix products"
-            return product(a, b)
+        def counted_select(n, ops):
+            product = select(n, ops)
 
-        monkeypatch.setattr(Mat, "__mul__", counted)
+            def counted(a, b, t):
+                used[0] += 1
+                assert used[0] <= budget, f"more than {budget} matrix products"
+                return product(a, b, t)
+            return counted
+
+        for module in (mat, companion):
+            assert module._product is select
+            monkeypatch.setattr(module, "_product", counted_select)
         return used
     return install
 

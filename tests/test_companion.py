@@ -1,21 +1,28 @@
 """Companion matrices, trace-matched decompositions, and trace sets."""
 
+import collections
+import functools
+
 import pytest
 
-from weakper import companion
+from conftest import verify_by_mats
+from weakper import companion, mat
 from weakper.errors import (
     BadDimension,
+    DimensionMismatch,
     EnumerationTooLarge,
+    FieldMismatch,
     FieldTooSmall,
     InputError,
     NotMonic,
+    SearchSpaceTooLarge,
     TraceNotRealizable,
     ZeroDegree,
 )
 from weakper.poly import Poly, is_squarefree
 from weakper.gf import build_field
 from weakper.mat import Mat, char_poly, is_potent, min_poly
-from weakper.search import verify_field
+from weakper.search import MODES, verify_field
 from weakper.companion import (
     Witness,
     companion_of,
@@ -243,6 +250,134 @@ class TestPotentPartMemo:
         assert verify_field(3, gf5, "constructive").decomposable == 125
         info = memo.cache_info()
         assert (info.hits, info.currsize) == (120, 5)
+
+
+def _tampered(w):
+    """w with one claim broken: one N entry changed (alone, and moved into
+    P so that the sum still holds), the commuting flag flipped, the
+    exponent one off either way, and P and N swapped."""
+    P, N = w.potent, w.nilpotent
+    entries = list(N.entries)
+    entries[-1] = (entries[-1] + 1) % P.spec.order
+    changed = Mat(P.spec, P.n, entries)
+    return (w._replace(nilpotent=changed),
+            w._replace(potent=P + N - changed, nilpotent=changed),
+            w._replace(commuting=not w.commuting),
+            w._replace(exponent=w.exponent + 1),
+            w._replace(exponent=w.exponent - 1),
+            w._replace(potent=N, nilpotent=P))
+
+
+def _agree(w, C):
+    """Assert that Witness.verify passes w against C and gives the verdict
+    of the Mat-level oracle on w and on each of its tamperings, with and
+    without require_commuting."""
+    assert w.verify(C) and verify_by_mats(w, C)
+    tampered = _tampered(w)
+    for variant in (w,) + tampered:
+        for require in (False, True):
+            assert (variant.verify(C, require_commuting=require)
+                    == verify_by_mats(variant, C, require_commuting=require))
+    assert not tampered[2].verify(C)  # the flipped commuting flag
+
+
+class TestCheckerAgreesWithMatOracle:
+    """Witness.verify runs on entry tuples; conftest.verify_by_mats is the
+    same checker on Mat objects."""
+
+    @pytest.mark.parametrize("field", ["gf2", "gf3", "gf4", "gf5", "gf9"])
+    def test_every_witness_of_every_route(self, request, field):
+        spec = request.getfixturevalue(field)
+        checked = collections.Counter()
+        for n in (1, 2, 3):
+            for mode in MODES:
+                try:
+                    report = verify_field(n, spec, mode)
+                except (FieldTooSmall, SearchSpaceTooLarge):
+                    continue
+                for rec in report.records:
+                    if rec.witness is not None:
+                        _agree(rec.witness, rec.form.matrix)
+                        checked[mode] += 1
+        assert set(checked) == set(MODES)
+
+    @pytest.mark.parametrize("p, l", [(7, 1), (2, 3), (3, 2), (2, 8)])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_constructive_witnesses_past_the_straight_line_cut(
+            self, p, l, n, seeded_rng):
+        spec = build_field(p, l)
+        assert mat._product(n, spec._ops()) is mat._matmul
+        checked = 0
+        for _ in range(8):
+            low = [seeded_rng.randrange(spec.order) for _ in range(n)]
+            form = companion_of(Poly(spec, low + [1]))
+            try:
+                w = trace_matched_decomposition(form)
+            except TraceNotRealizable:
+                continue
+            _agree(w, form.matrix)
+            checked += 1
+        assert checked
+
+    def test_mismatched_parts_raise_as_before(self, gf3, gf5):
+        form = companion_of(Poly(gf5, (1, 2, 3, 1)))
+        w = trace_matched_decomposition(form)
+        C = form.matrix
+        assert (w.exponent - 1) % 5
+        cases = [(w._replace(nilpotent=Mat.zeros(gf3, 3)), FieldMismatch),
+                 (w._replace(potent=Mat.zeros(gf3, 3)), FieldMismatch),
+                 (w._replace(nilpotent=Mat.zeros(gf5, 2)), DimensionMismatch),
+                 (w._replace(exponent=float(w.exponent)), InputError)]
+        for bad, error in cases:
+            for check in (bad.verify, functools.partial(verify_by_mats, bad)):
+                with pytest.raises(error):
+                    check(C)
+        # a companion over another field, or of another size, is a no
+        for other in (Mat.zeros(gf3, 3), Mat.zeros(gf5, 2), None):
+            assert not w.verify(other)
+            assert not verify_by_mats(w, other)
+
+    def test_builds_no_mat_inside_verify(self, gf9, monkeypatch):
+        # Mats built while Witness.verify runs, by where they are built:
+        # the potent-part claims (min_poly(P), P^t) on a memo miss, or the
+        # checker itself
+        built = collections.Counter()
+        where = []
+        raw, init = Mat._raw, Mat.__init__
+        claims = companion._potent_claims_hold
+        verify = Witness.verify
+
+        def counted_raw(spec, n, entries):
+            if where:
+                built[where[-1]] += 1
+            return raw(spec, n, entries)
+
+        def counted_init(self, spec, n, entries):
+            if where:
+                built[where[-1]] += 1
+            init(self, spec, n, entries)
+
+        def inside(name, fn):
+            def wrapped(*args, **kwargs):
+                where.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where.pop()
+            return wrapped
+
+        monkeypatch.setattr(Mat, "_raw", staticmethod(counted_raw))
+        monkeypatch.setattr(Mat, "__init__", counted_init)
+        monkeypatch.setattr(Witness, "verify", inside("verify", verify))
+        monkeypatch.setattr(companion, "_potent_claims_hold",
+                            inside("claims", claims))
+        claims.cache_clear()
+        assert verify_field(3, gf9, "constructive").decomposable == 729
+        assert claims.cache_info().misses == 9
+        assert built["verify"] == 0 and built["claims"] > 0
+        built.clear()
+        assert verify_field(3, gf9, "constructive").decomposable == 729
+        assert built == {}
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Dense matrix arithmetic, invariants, and potency predicates."""
 
+import functools
 import itertools
 
 import pytest
@@ -244,6 +245,22 @@ class TestProductBudgets:
         before = used[0]
         m ** 7
         assert used[0] - before == 4  # squares m^2, m^4 and two products
+
+    def test_pow_builds_one_mat(self, gf3, gf7, monkeypatch):
+        # the squares and products run on entry tuples; only the result
+        # is wrapped
+        built = []
+        raw = Mat._raw
+        monkeypatch.setattr(Mat, "_raw", staticmethod(
+            lambda spec, n, entries: built.append(n) or raw(spec, n, entries)))
+        for spec, n in ((gf3, 2), (gf7, 5)):
+            m = Mat(spec, n, [(i * i + 1) % spec.order for i in range(n * n)])
+            for k in (1, 2, 7, 100):
+                del built[:]
+                power = m ** k
+                assert built == [n]
+                assert power == functools.reduce(
+                    lambda a, _: a * m, range(k - 1), m)
 
     def test_min_poly_takes_at_most_n_minus_one_products(
             self, gf2, gf3, gf4, seeded_rng, mat_product_budget):

@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from weakper import gf, search
+from weakper import companion, gf, search
 from weakper.companion import companion_of
 from weakper.gf import FieldSpec, build_field
 from weakper.mat import Mat, det, linear_combination, min_poly
@@ -150,6 +150,11 @@ def test_makes_no_element_call(p, l, seeded_rng, element_calls):
     if spec.order <= 9:
         search._square_zero_entries.__wrapped__(
             spec, 3 if spec.order == 3 else 2)
+    if spec.order in (4, 9):
+        # the whole constructive route, the potent companions included
+        companion._potent_part.cache_clear()
+        for n in (2, 3):
+            search.verify_field(n, spec, "constructive")
     assert element_calls == []
     # over the splitting field GF(7) of m = 3 only unity_powers' walk
     # 1, z, z^2 multiplies element by element, not the evaluation loop
