@@ -9,7 +9,8 @@ field's order.  Every matrix product comes from one selector, _product:
 for n <= 4 it is straight-line code, compiled once per n and backend
 kind (_straight_product), and past that the backend's matmul.  It works
 on entry tuples, so M ** k squares and multiplies tuples and wraps only
-the result, and Witness.verify builds no Mat for its products.
+the result, min_poly powers tuples from the identity on and builds no
+Mat, and Witness.verify builds no Mat for its products.
 
 A matrix M counts as potent when its minimal polynomial is squarefree.
 That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
@@ -22,7 +23,9 @@ The exponent route (is_potent_at) proves it from M^t = M with p not
 dividing t - 1; Witness.verify runs both.  The universal route
 (is_potent_iterative) powers M to k + 1 and is kept to cross-check the
 min-poly route.  Matrix powers and root orders run through gf's power
-and multiplicative_order kernels.
+and multiplicative_order kernels; the exponent's distinct-degree split
+and root orders run on poly's coefficient-tuple cores, with no Poly per
+step.
 """
 
 import functools
@@ -37,7 +40,13 @@ from .errors import (
     MinPolyNotFound,
 )
 from .gf import multiplicative_order, power
-from .poly import Poly, distinct_degree_parts, is_squarefree, pow_mod
+from .poly import (
+    Poly,
+    _distinct_degree_parts,
+    _monic,
+    _pow_mod,
+    is_squarefree,
+)
 
 EXPONENT_CAP = 1 << 63
 # bound of the two potency memos, one entry per minimal polynomial.  A
@@ -326,7 +335,10 @@ def _reduce(basis, vec, combo, spec):
         if c:
             ops.submul(vec, c, row)
             ops.submul(combo, c, row_combo)
-    return next((idx for idx, v in enumerate(vec) if v), None)
+    for idx, v in enumerate(vec):
+        if v:
+            return idx
+    return None
 
 
 def _basis_row(vec, pivot, combo, spec):
@@ -365,22 +377,25 @@ def det(M):
 def min_poly(M):
     """Monic minimal polynomial: the powers I, M, M^2, ... reduced through
     _reduce, each tracking its combination of powers, until one reduces
-    to 0."""
+    to 0.  The powers are entry tuples; the combination that reduces to 0
+    ends in the 1 of its own power, so it is already monic and canonical."""
     spec, n = M.spec, M.n
+    ops = spec._ops()
+    product = _product(n, ops)
     basis = []
-    acc = Mat.identity(spec, n)
+    acc = (1,) + ((0,) * n + (1,)) * (n - 1)  # the identity
     k = 0
     while True:
-        vec = list(acc.entries)
+        vec = list(acc)
         combo = [0] * k + [1]
         pivot = _reduce(basis, vec, combo, spec)
         if pivot is None:
-            return Poly(spec, combo)
+            return Poly._raw(spec, tuple(combo))
         if k >= n:
             raise MinPolyNotFound(
                 "power M^n failed to reduce against lower powers")
         basis.append(_basis_row(vec, pivot, combo, spec))
-        acc = acc * M if k else M
+        acc = product(acc, M.entries, ops) if k else M.entries
         k += 1
 
 
@@ -431,14 +446,15 @@ def is_square_zero(M):
 
 def _root_order(h, d):
     """Multiplicative order of X modulo h, a product of distinct
-    irreducibles of degree d other than X.
+    irreducibles of degree d other than X, taken on coefficient tuples.
 
     GF(q)[X]/(h) is a product of copies of GF(q^d), so that order is the
     lcm of the orders of the roots of h, and it divides q^d - 1.
     """
-    spec = h.spec
-    return multiplicative_order(Poly.x(spec), spec.order ** d - 1,
-                                lambda x, k: pow_mod(x, k, h), Poly.one(spec))
+    spec, m = h.spec, _monic(h.coeffs, h.spec)
+    ops = spec._ops()
+    return multiplicative_order((0, 1), spec.order ** d - 1,
+                                lambda x, k: _pow_mod(x, k, m, ops), (1,))
 
 
 # squarefreeness of a minimal polynomial, memoised apart from its exponent:
@@ -459,12 +475,14 @@ def min_poly_exponent(mp):
     """
     if not _squarefree(mp):
         return None
-    if mp.coeffs[0] == 0:
-        mp = mp // Poly.x(mp.spec)  # squarefree, so X divides it once
+    spec = mp.spec
+    cs = _monic(mp.coeffs, spec)
+    if cs[0] == 0:
+        cs = cs[1:]  # squarefree, so X divides it once
     k = 1
-    for d, h in distinct_degree_parts(mp):
-        if h.degree > 0:
-            k = math.lcm(k, _root_order(h, d))
+    for d, h in _distinct_degree_parts(cs, spec):
+        if len(h) > 1:
+            k = math.lcm(k, _root_order(Poly._raw(spec, h), d))
     return k + 1
 
 

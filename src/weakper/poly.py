@@ -5,6 +5,13 @@ no trailing zeros; the zero polynomial has an empty tuple and degree -1.
 pow_mod and evaluation run through gf's power and horner kernels, and
 +, -, *, scale, divmod and the derivative through the field's vector
 backend, spec._ops().
+
+Products, division by a monic divisor, the monic gcd, pow_mod and the
+distinct-degree split each have one core on coefficient tuples (_mul,
+_divmod_monic, _gcd, _pow_mod, _distinct_degree_parts).  Poly's * and
+divmod, gcd, pow_mod, is_squarefree and distinct_degree_parts wrap them
+and build one Poly per result, and mat's potency kernels call them
+directly, so a remainder or a power builds no Poly on the way.
 """
 
 import itertools
@@ -20,6 +27,102 @@ from .errors import (
 from .gf import DEFAULT_FIELD_BOUND, build_field, embed, horner, power
 
 FACTOR_DEGREE_CAP = 12
+
+
+def _mul(a, b, ops):
+    """The product of two coefficient tuples."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            ops.axpy(out, ai, b, i)
+    # the leads multiply to a nonzero lead: out has no trailing zero
+    return tuple(out)
+
+
+def _divmod_monic(a, m, ops):
+    """(quotient, remainder) of a by the monic m, as coefficient tuples.
+    Each step clears rem[k] by subtracting one multiple of m, lead
+    included, so nothing is inverted."""
+    dm = len(m) - 1
+    if len(a) <= dm:
+        return (), a
+    rem = list(a)
+    quot = [0] * (len(rem) - dm)
+    for k in range(len(rem) - 1, dm - 1, -1):
+        c = rem[k]
+        if c:
+            quot[k - dm] = c
+            ops.submul(rem, c, m, k - dm)
+    del rem[dm:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+def _monic(a, spec):
+    """The nonzero coefficient tuple a scaled to lead 1."""
+    lead = a[-1]
+    if lead == 1:
+        return a
+    return tuple(spec._ops().scale(spec._inv(lead), a))
+
+
+def _gcd(a, b, spec):
+    """The monic gcd of two coefficient tuples, not both empty: Euclid,
+    each divisor made monic before it divides."""
+    ops = spec._ops()
+    if not b:
+        a, b = b, a
+    while b:
+        b = _monic(b, spec)
+        a, b = b, _divmod_monic(a, b, ops)[1]
+    return a
+
+
+def _pow_mod(a, e, m, ops):
+    """a^e modulo the monic m of degree >= 1, as a coefficient tuple."""
+    if not e:
+        return (1,)
+    return power(_divmod_monic(a, m, ops)[1], e,
+                 lambda x, y: _divmod_monic(_mul(x, y, ops), m, ops)[1])
+
+
+def _derivative(a, spec):
+    """The derivative of a coefficient tuple: i c is c times the
+    prime-field element i mod p."""
+    out = spec._ops().times(a[1:], [i % spec.p for i in range(1, len(a))])
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _distinct_degree_parts(work, spec):
+    """distinct_degree_parts of the monic coefficient tuple work, each
+    part a monic coefficient tuple."""
+    ops = spec._ops()
+    q = spec.order
+    h = (0, 1)  # X^(q^d) mod work
+    d = 0
+    while 2 * (d + 1) <= len(work) - 1:
+        d += 1
+        h = _pow_mod(h, q, work, ops)
+        hx = list(h) + [0] * (2 - len(h))
+        ops.submul(hx, 1, (0, 1))  # h - X
+        while hx and hx[-1] == 0:
+            hx.pop()
+        part = _gcd(work, tuple(hx), spec)
+        yield d, part
+        if len(part) > 1:
+            # divide out every power of the degree-d factors
+            strip = part
+            while len(strip) > 1:
+                work = _divmod_monic(work, strip, ops)[0]
+                strip = _gcd(work, strip, spec)
+            h = _divmod_monic(h, work, ops)[1]
+    if len(work) > 1:
+        yield len(work) - 1, work
 
 
 class Poly:
@@ -135,16 +238,7 @@ class Poly:
             return NotImplemented
         self._same_field(other)
         spec = self.spec
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(spec)
-        ops = spec._ops()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                ops.axpy(out, ai, b, i)
-        # the leads multiply to a nonzero lead: out has no trailing zero
-        return Poly._raw(spec, tuple(out))
+        return Poly._raw(spec, _mul(self.coeffs, other.coeffs, spec._ops()))
 
     def scale(self, c):
         spec = self.spec
@@ -162,27 +256,16 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         if self.degree < other.degree:
             return Poly.zero(spec), self
+        # divide by the monic den, then scale the quotient back
         ops = spec._ops()
-        # divide by the monic den, then scale the quotient back; each
-        # step's subtraction clears rem[k] with den's lead
         inv_lead = spec._inv(other.lead)
         den = other.coeffs
         if inv_lead != 1:
             den = ops.scale(inv_lead, den)
-        dd = other.degree
-        rem = list(self.coeffs)
-        quot = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c:
-                quot[k - dd] = c
-                ops.submul(rem, c, den, k - dd)
+        quot, rem = _divmod_monic(self.coeffs, den, ops)
         if inv_lead != 1:
-            quot = ops.scale(inv_lead, quot)
-        del rem[dd:]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return Poly._raw(spec, tuple(quot)), Poly._raw(spec, tuple(rem))
+            quot = tuple(ops.scale(inv_lead, quot))
+        return Poly._raw(spec, quot), Poly._raw(spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -195,17 +278,10 @@ class Poly:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         if self.coeffs[-1] == 1:
             return self
-        return self.scale(self.spec._inv(self.coeffs[-1]))
+        return Poly._raw(self.spec, _monic(self.coeffs, self.spec))
 
     def derivative(self):
-        spec = self.spec
-        cs = self.coeffs
-        # i c is c times the prime-field element i mod p
-        out = spec._ops().times(cs[1:],
-                                [i % spec.p for i in range(1, len(cs))])
-        while out and out[-1] == 0:
-            out.pop()
-        return Poly._raw(spec, tuple(out))
+        return Poly._raw(self.spec, _derivative(self.coeffs, self.spec))
 
     def evaluate(self, x):
         self.spec.check(x)
@@ -233,10 +309,7 @@ def gcd(f, g):
     f._same_field(g)
     if f.is_zero() and g.is_zero():
         raise ZeroPolynomial("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly._raw(f.spec, _gcd(f.coeffs, g.coeffs, f.spec))
 
 
 def pow_mod(base, e, mod):
@@ -246,9 +319,9 @@ def pow_mod(base, e, mod):
         raise InputError(f"exponent must be a non-negative integer, got {e!r}")
     if mod.degree < 1:
         raise ZeroPolynomial("modulus must have degree >= 1")
-    if not e:
-        return Poly.one(base.spec)
-    return power(base % mod, e, lambda a, b: a * b % mod)
+    spec = base.spec
+    return Poly._raw(spec, _pow_mod(base.coeffs, e, _monic(mod.coeffs, spec),
+                                    spec._ops()))
 
 
 def is_squarefree(f):
@@ -261,10 +334,8 @@ def is_squarefree(f):
         raise ZeroPolynomial("squarefreeness of 0 is undefined")
     if f.degree == 0:
         return True
-    d = f.derivative()
-    if d.is_zero():
-        return False
-    return gcd(f, d).degree == 0
+    d = _derivative(f.coeffs, f.spec)
+    return bool(d) and len(_gcd(f.coeffs, d, f.spec)) == 1
 
 
 def _monic_candidates(spec, d):
@@ -322,24 +393,8 @@ def distinct_degree_parts(f):
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no factorization")
     spec = f.spec
-    work = f.monic()
-    x = Poly.x(spec)
-    h = x  # X^(q^d) mod work
-    d = 0
-    while 2 * (d + 1) <= work.degree:
-        d += 1
-        h = pow_mod(h, spec.order, work)
-        part = gcd(work, h - x)
-        yield d, part
-        if part.degree > 0:
-            # divide out every power of the degree-d factors
-            strip = part
-            while strip.degree > 0:
-                work = work // strip
-                strip = gcd(work, strip)
-            h = h % work
-    if work.degree >= 1:
-        yield work.degree, work
+    for d, h in _distinct_degree_parts(_monic(f.coeffs, spec), spec):
+        yield d, Poly._raw(spec, h)
 
 
 def is_irreducible(f):

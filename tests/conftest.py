@@ -14,7 +14,12 @@ operations.  element_loops switches every field to the element backend,
 so Mat, Poly, companion_of and the searches take the element loops that
 fields past the table bound keep.  verify_by_mats re-checks a witness on
 Mat objects, one Mat per sum and product, as Witness.verify did before it
-ran on entry tuples.
+ran on entry tuples.  gcd_by_polys, pow_mod_by_polys,
+is_squarefree_by_polys, distinct_degree_parts_by_polys and
+min_poly_by_mats are the Poly- and Mat-level bodies of gcd, pow_mod,
+is_squarefree, distinct_degree_parts and min_poly from before those ran
+on coefficient and entry tuples: one Poly or Mat per remainder, product
+and power.
 """
 
 import functools
@@ -26,8 +31,15 @@ from unittest import mock
 import pytest
 
 from weakper import companion, mat
-from weakper.gf import ElementOps, FieldSpec, build_field, prime_factors
-from weakper.mat import Mat, is_square_zero, min_poly
+from weakper.errors import InputError, MinPolyNotFound, ZeroPolynomial
+from weakper.gf import (
+    ElementOps,
+    FieldSpec,
+    build_field,
+    power,
+    prime_factors,
+)
+from weakper.mat import Mat, _basis_row, _reduce, is_square_zero, min_poly
 from weakper.poly import Poly, factor, is_squarefree, pow_mod
 
 SEED = 1729
@@ -231,6 +243,92 @@ def verify_by_mats(witness, companion_matrix, require_commuting=False):
     if require_commuting and not witness.commuting:
         return False
     return True
+
+
+def gcd_by_polys(f, g):
+    """Monic gcd by Euclid on Poly objects, each remainder by a divisor of
+    any lead."""
+    f._same_field(g)
+    if f.is_zero() and g.is_zero():
+        raise ZeroPolynomial("gcd(0, 0) is undefined")
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def pow_mod_by_polys(base, e, mod):
+    """base**e modulo mod by square-and-multiply on Poly objects, each
+    product reduced by Poly's %."""
+    base._same_field(mod)
+    if not isinstance(e, int) or e < 0:
+        raise InputError(f"exponent must be a non-negative integer, got {e!r}")
+    if mod.degree < 1:
+        raise ZeroPolynomial("modulus must have degree >= 1")
+    if not e:
+        return Poly.one(base.spec)
+    return power(base % mod, e, lambda a, b: a * b % mod)
+
+
+def is_squarefree_by_polys(f):
+    """gcd(f, f') == 1 on Poly objects; constants are squarefree and a
+    nonconstant f with f' = 0 is not."""
+    if f.is_zero():
+        raise ZeroPolynomial("squarefreeness of 0 is undefined")
+    if f.degree == 0:
+        return True
+    d = f.derivative()
+    if d.is_zero():
+        return False
+    return gcd_by_polys(f, d).degree == 0
+
+
+def distinct_degree_parts_by_polys(f):
+    """The list of distinct_degree_parts(f), each step's q-th power,
+    gcd and division on Poly objects."""
+    if f.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no factorization")
+    spec = f.spec
+    work = f.monic()
+    x = Poly.x(spec)
+    h = x
+    d = 0
+    out = []
+    while 2 * (d + 1) <= work.degree:
+        d += 1
+        h = pow_mod_by_polys(h, spec.order, work)
+        part = gcd_by_polys(work, h - x)
+        out.append((d, part))
+        if part.degree > 0:
+            strip = part
+            while strip.degree > 0:
+                work = work // strip
+                strip = gcd_by_polys(work, strip)
+            h = h % work
+    if work.degree >= 1:
+        out.append((work.degree, work))
+    return out
+
+
+def min_poly_by_mats(M):
+    """The powers I, M, M^2, ... as Mat objects, each one product of Mats,
+    reduced through mat._reduce until one reduces to 0."""
+    spec, n = M.spec, M.n
+    basis = []
+    acc = Mat.identity(spec, n)
+    k = 0
+    while True:
+        vec = list(acc.entries)
+        combo = [0] * k + [1]
+        pivot = _reduce(basis, vec, combo, spec)
+        if pivot is None:
+            return Poly(spec, combo)
+        if k >= n:
+            raise MinPolyNotFound(
+                "power M^n failed to reduce against lower powers")
+        basis.append(_basis_row(vec, pivot, combo, spec))
+        acc = acc * M if k else M
+        k += 1
 
 
 def element_loops():

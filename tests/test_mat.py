@@ -39,6 +39,7 @@ from weakper.companion import companion_of
 from conftest import (
     _irreducible_root_order,
     char_poly_laplace,
+    min_poly_by_mats,
     min_poly_scan,
     poly_at_matrix,
     potency_exponent_by_factoring,
@@ -366,7 +367,8 @@ class TestMinPoly:
         # M itself is the first power, so only M^2 comes from a product
         M, broken = (Mat._raw(gf3, 2, tuple(int(i == j) for i in range(4)))
                      for j in (1, 2))
-        monkeypatch.setattr(Mat, "__mul__", lambda self, other: broken)
+        monkeypatch.setattr(mat, "_product",
+                            lambda n, ops: lambda a, b, t: broken.entries)
         with pytest.raises(MinPolyNotFound):
             min_poly(M)
 
@@ -662,3 +664,76 @@ def test_det_is_multiplicative_gf9(ea, eb):
 def test_char_poly_matches_oracle_gf9(entries):
     m = Mat(GF9, 3, tuple(entries))
     assert char_poly(m) == char_poly_laplace(m)
+
+
+class TestPotencyKernelsOnTuples:
+    """min_poly on entry tuples and min_poly_exponent on coefficient
+    tuples against the Mat- and factor-level oracles."""
+
+    FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 8), (3, 5)]
+
+    @pytest.mark.parametrize("p, l", FIELDS)
+    def test_min_poly_matches_the_mat_power_oracle(self, p, l, seeded_rng):
+        spec = build_field(p, l)
+        scalar = spec.order - 1
+        for n in range(1, 7):
+            nilpotent = Mat(spec, n, [int(j == i + 1) for i in range(n)
+                                      for j in range(n)])
+            cases = [Mat.identity(spec, n), Mat.zeros(spec, n),
+                     Mat.identity(spec, n).scale(scalar), nilpotent,
+                     nilpotent + Mat.identity(spec, n)]
+            cases += [random_matrix(seeded_rng, spec, n) for _ in range(4)]
+            for m in cases:
+                want = min_poly_by_mats(m)
+                got = min_poly(m)
+                assert got == want, m
+                assert Poly(spec, got.coeffs).coeffs == got.coeffs
+
+    def test_min_poly_builds_no_mat(self, gf3, gf4, gf7, seeded_rng,
+                                    monkeypatch):
+        # counted as test_pow_builds_one_mat counts: the powers stay entry
+        # tuples from the identity on
+        cases = [random_matrix(seeded_rng, spec, n)
+                 for spec in (gf3, gf4, gf7, build_field(2, 8))
+                 for n in range(1, 7)]
+        built = []
+        raw = Mat._raw
+        monkeypatch.setattr(Mat, "_raw", staticmethod(
+            lambda spec, n, entries: built.append(n) or raw(spec, n, entries)))
+        for m in cases:
+            min_poly(m)
+        assert built == []
+
+    @pytest.mark.parametrize("p, l, top", [(2, 1, 4), (3, 1, 4), (2, 2, 3),
+                                           (5, 1, 3), (3, 2, 3)])
+    def test_min_poly_exponent_matches_factoring(self, p, l, top):
+        spec = build_field(p, l)
+        mat._squarefree.cache_clear()
+        min_poly_exponent.cache_clear()
+        for d in range(1, top + 1):
+            for low in itertools.product(range(spec.order), repeat=d):
+                g = Poly(spec, low + (1,))
+                assert min_poly_exponent(g) == potency_exponent_by_factoring(
+                    companion_of(g).matrix), g
+                # the same polynomial up to a unit has the same exponent
+                assert min_poly_exponent(g.scale(spec.order - 1)) == (
+                    min_poly_exponent(g))
+
+    def test_cold_exponent_divides_no_poly(self, gf4, monkeypatch):
+        # X (X + 1) (X + 2) strips X first; (X + 1)(X^2 + X + 2) has a
+        # degree-2 part: both run on coefficient tuples
+        divisions = [0]
+        divmod_ = Poly.__divmod__
+
+        def counted(a, b):
+            divisions[0] += 1
+            return divmod_(a, b)
+
+        cases = (Poly(gf4, (0, 2, 3, 1)), Poly(gf4, (2, 3, 0, 1)))
+        want = [potency_exponent_by_factoring(companion_of(g).matrix)
+                for g in cases]
+        mat._squarefree.cache_clear()
+        min_poly_exponent.cache_clear()
+        monkeypatch.setattr(Poly, "__divmod__", counted)
+        assert [min_poly_exponent(g) for g in cases] == want
+        assert divisions == [0]

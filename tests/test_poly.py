@@ -27,6 +27,13 @@ from weakper.poly import (
     roots_in_extensions,
 )
 
+from conftest import (
+    distinct_degree_parts_by_polys,
+    gcd_by_polys,
+    is_squarefree_by_polys,
+    pow_mod_by_polys,
+)
+
 GF2 = build_field(2, 1)
 GF3 = build_field(3, 1)
 GF5 = build_field(5, 1)
@@ -156,16 +163,17 @@ def test_monic_division_inverts_nothing(gf7, monkeypatch):
 
 
 def test_pow_mod_product_budget(gf3, monkeypatch):
-    # polynomial products counted exactly, as mat_product_budget counts
-    # matrix products: no product with 1, no squaring past the top bit
+    # polynomial products counted exactly at the coefficient product core,
+    # as mat_product_budget counts matrix products: no product with 1, no
+    # squaring past the top bit
     used = [0]
-    product = Poly.__mul__
+    product = poly._mul
 
-    def counted(a, b):
+    def counted(a, b, ops):
         used[0] += 1
-        return product(a, b)
+        return product(a, b, ops)
 
-    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(poly, "_mul", counted)
     x = Poly.x(gf3)
     m = Poly(gf3, (1, 2, 0, 0, 0, 1))  # X^5 + 2X + 1
     for e in (0, 1):
@@ -348,3 +356,184 @@ def test_monic_and_scale(gf5):
     assert f.scale(4) == Poly(gf5, (3, 1))
     with pytest.raises(ZeroPolynomial):
         Poly.zero(gf5).monic()
+
+
+# (field, top degree of "every monic"): the table and integer backends, and
+# two fields past the table bound, on the element backend, sampled instead
+CORE_FIELDS = [((2, 1), 4), ((3, 1), 4), ((2, 2), 3), ((5, 1), 3),
+               ((7, 1), 3), ((3, 2), 3)]
+ELEMENT_FIELDS = [(2, 8), (3, 5)]
+
+
+def field_id(value):
+    return f"{value[0]}^{value[1]}" if isinstance(value, tuple) else None
+
+
+def monics(spec, top):
+    for d in range(top + 1):
+        for low in itertools.product(range(spec.order), repeat=d):
+            yield Poly(spec, low + (1,))
+
+
+def exponents(spec, f):
+    q = spec.order
+    return (0, 1, q, q ** f.degree - 1, 10 ** 20 + 7)
+
+
+class TestCoresAgreeWithPolyOracles:
+    """The coefficient-tuple cores and the Poly functions that wrap them
+    against the Poly-level bodies they replaced (conftest)."""
+
+    def check_pow_mod(self, base, e, mod):
+        want = pow_mod_by_polys(base, e, mod)
+        assert pow_mod(base, e, mod) == want, (base, e, mod)
+        spec = mod.spec
+        assert poly._pow_mod(base.coeffs, e, mod.monic().coeffs,
+                             spec._ops()) == want.coeffs
+
+    def check_gcd(self, f, g):
+        want = gcd_by_polys(f, g)
+        assert gcd(f, g) == want, (f, g)
+        assert poly._gcd(f.coeffs, g.coeffs, f.spec) == want.coeffs
+        assert want.is_monic()
+
+    def check_unary(self, f):
+        spec = f.spec
+        assert is_squarefree(f) == is_squarefree_by_polys(f), f
+        parts = distinct_degree_parts_by_polys(f)
+        assert list(distinct_degree_parts(f)) == parts, f
+        assert list(poly._distinct_degree_parts(f.monic().coeffs, spec)) == [
+            (d, h.coeffs) for d, h in parts]
+        x = Poly.x(spec)
+        for g in (f.derivative(), x, x + Poly.one(spec), Poly.zero(spec)):
+            if not (f.is_zero() and g.is_zero()):
+                self.check_gcd(f, g)
+                self.check_gcd(g, f)
+
+    def check_division(self, f, m):
+        q, r = divmod(f, m)
+        assert q * m + r == f and r.degree < m.degree
+        if m.is_monic():
+            assert poly._divmod_monic(f.coeffs, m.coeffs, m.spec._ops()) == (
+                q.coeffs, r.coeffs)
+
+    @pytest.mark.parametrize("field, top", CORE_FIELDS, ids=field_id)
+    def test_every_small_monic(self, field, top, seeded_rng):
+        spec = build_field(*field)
+        x = Poly.x(spec)
+        for f in monics(spec, top):
+            self.check_unary(f)
+            if f.degree >= 1:
+                for e in exponents(spec, f):
+                    self.check_pow_mod(x, e, f)
+                self.check_pow_mod(random_poly(seeded_rng, spec, 2 * f.degree),
+                                   spec.order + 1, f)
+                self.check_division(random_poly(seeded_rng, spec, 5), f)
+
+    @pytest.mark.parametrize("field", [f for f, _ in CORE_FIELDS]
+                             + ELEMENT_FIELDS, ids=field_id)
+    def test_random_pairs_with_any_lead(self, field, seeded_rng):
+        spec = build_field(*field)
+        if field in ELEMENT_FIELDS:
+            assert spec._ops().kind == "element"
+        for _ in range(25):
+            f = random_poly(seeded_rng, spec, seeded_rng.randrange(7))
+            m = random_poly(seeded_rng, spec, seeded_rng.randrange(1, 4))
+            self.check_unary(f)
+            self.check_unary(m)
+            self.check_gcd(f, m)
+            self.check_gcd(f * m, m * m)
+            self.check_division(f, m)
+            for e in exponents(spec, m):
+                self.check_pow_mod(f, e, m)
+
+    @pytest.mark.parametrize("field", ELEMENT_FIELDS, ids=field_id)
+    def test_sampled_monics_on_the_element_backend(self, field, seeded_rng):
+        spec = build_field(*field)
+        x = Poly.x(spec)
+        for _ in range(15):
+            f = Poly(spec, [seeded_rng.randrange(spec.order)
+                            for _ in range(seeded_rng.randrange(4))] + [1])
+            self.check_unary(f)
+            if f.degree >= 1:
+                for e in exponents(spec, f):
+                    self.check_pow_mod(x, e, f)
+
+    @pytest.mark.parametrize("field", [f for f, _ in CORE_FIELDS]
+                             + ELEMENT_FIELDS, ids=field_id)
+    def test_zero_and_constants(self, field):
+        spec = build_field(*field)
+        zero, one, x = Poly.zero(spec), Poly.one(spec), Poly.x(spec)
+        c = Poly.constant(spec, spec.order - 1)
+        m = Poly(spec, (1, 1, 1)).scale(spec.order - 1)
+        for fn in (gcd, gcd_by_polys):
+            with pytest.raises(ZeroPolynomial):
+                fn(zero, zero)
+        for f in (one, c):
+            self.check_unary(f)
+            self.check_gcd(f, m)
+        for e in (0, 1, 5):
+            self.check_pow_mod(zero, e, m)
+            self.check_pow_mod(c, e, m)
+            self.check_pow_mod(x, e, x)
+        for fn in (pow_mod, pow_mod_by_polys):
+            for mod in (zero, one, c):
+                with pytest.raises(ZeroPolynomial):
+                    fn(x, 2, mod)
+            for e in (-1, 2.0):
+                with pytest.raises(InputError):
+                    fn(x, e, m)
+        for fn in (is_squarefree, is_squarefree_by_polys):
+            with pytest.raises(ZeroPolynomial):
+                fn(zero)
+        with pytest.raises(ZeroPolynomial):
+            list(distinct_degree_parts(zero))
+        assert poly._mul((), m.coeffs, spec._ops()) == ()
+        assert (m * zero).is_zero() and (zero * m).is_zero()
+
+    def test_product_core_is_the_convolution(self, seeded_rng):
+        for field in [f for f, _ in CORE_FIELDS] + ELEMENT_FIELDS:
+            spec = build_field(*field)
+            for _ in range(10):
+                a = random_poly(seeded_rng, spec, seeded_rng.randrange(6))
+                b = random_poly(seeded_rng, spec, seeded_rng.randrange(6))
+                out = [0] * (a.degree + b.degree + 1)
+                for i, ai in enumerate(a.coeffs):
+                    for j, bj in enumerate(b.coeffs):
+                        out[i + j] = spec._add(out[i + j], spec._mul(ai, bj))
+                assert poly._mul(a.coeffs, b.coeffs, spec._ops()) == tuple(out)
+                assert a * b == Poly(spec, out)
+
+
+class TestWrappersBuildOnePoly:
+    def count_polys(self, monkeypatch):
+        built = []
+        raw, init = Poly._raw, Poly.__init__
+        monkeypatch.setattr(Poly, "_raw", staticmethod(
+            lambda spec, coeffs: built.append(coeffs) or raw(spec, coeffs)))
+
+        def counted_init(self, spec, coeffs):
+            built.append(coeffs)
+            init(self, spec, coeffs)
+
+        monkeypatch.setattr(Poly, "__init__", counted_init)
+        return built
+
+    @pytest.mark.parametrize("field", [(2, 2), (7, 1), (2, 8)], ids=field_id)
+    def test_pow_mod_and_gcd_build_one_poly(self, field, monkeypatch):
+        spec = build_field(*field)
+        lead = spec.order - 1
+        f = Poly(spec, (1, 2 % spec.order, 1, lead))
+        x = Poly.x(spec)
+        monic, other = Poly(spec, (1, 0, 1, 1)), Poly(spec, (1, 1, lead))
+        built = self.count_polys(monkeypatch)
+        for mod in (monic, other):
+            for e in (0, 1, spec.order, 10 ** 20 + 7):
+                del built[:]
+                pow_mod(f, e, mod)
+                assert len(built) == 1, (mod, e)
+        for a, b in ((f, other), (f * other, other * other), (f, x),
+                     (Poly.zero(spec), other)):
+            del built[:]
+            gcd(a, b)
+            assert len(built) == 1, (a, b)
