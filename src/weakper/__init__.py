@@ -66,10 +66,8 @@ from .search import (
     brute_decompose,
     conjecture_scan,
     count_decompositions,
-    fixed_point_certificate,
     load_report,
     reverify_report,
-    root_of_unity_certificate,
     verify_field,
 )
 
@@ -106,7 +104,6 @@ __all__ = [
     "embed",
     "enumerate_companions",
     "factor",
-    "fixed_point_certificate",
     "gcd",
     "gcd_divisibility",
     "is_potent",
@@ -124,7 +121,6 @@ __all__ = [
     "pow_mod",
     "prime_shift_certificate",
     "reverify_report",
-    "root_of_unity_certificate",
     "roots_in_extensions",
     "roots_of_unity",
     "subfield_lattice",

@@ -106,14 +106,3 @@ class FieldTooLarge(LimitError):
 class SearchSpaceTooLarge(LimitError):
     """The brute-force candidate space exceeds the configured bound."""
 
-
-class NotInvertible(InputError):
-    """An invertible matrix is required."""
-
-
-class NotCommuting(InputError):
-    """The matrices are required to commute."""
-
-
-class NoPolynomialRepresentation(WeakperError):
-    """Internal invariant violation: no polynomial expression exists."""

@@ -1,16 +1,17 @@
 """Square matrices over a FieldSpec, with the exact-arithmetic kernels the
 rest of the package builds on: division-free characteristic polynomials,
 minimal polynomials via Krylov elimination, and potency tests.  _reduce
-is the one elimination loop: min_poly, det, linear_combination and the
-square-zero enumerator's rank test in search all reduce through it.
-+, -, *, scale, trace, det and _reduce's row operations are each one
-call to the field's vector backend, spec._ops(), which gf picks from the
-field's order.  Every matrix product comes from one selector, _product:
-for n <= 4 it is straight-line code, compiled once per n and backend
-kind (_straight_product), and past that the backend's matmul.  It works
-on entry tuples, so M ** k squares and multiplies tuples and wraps only
-the result, min_poly powers tuples from the identity on and builds no
-Mat, and Witness.verify builds no Mat for its products.
+is the one elimination loop: min_poly, det and the square-zero
+enumerator's rank test in search all reduce through it.  +, -, *, scale,
+trace, det, char_poly's dot products and _reduce's row operations are
+each one call to the field's vector backend, spec._ops(), which gf picks
+from the field's order.  Every matrix product comes from one selector,
+_product: for n <= 4 it is straight-line code, compiled once per n and
+backend kind (_straight_product), and past that the backend's matmul.
+It works on entry tuples, so M ** k squares and multiplies tuples and
+wraps only the result, min_poly powers tuples from the identity on and
+builds no Mat, Witness.verify builds no Mat for its products, and
+_poly_at evaluates a coefficient tuple at a matrix by Horner's rule.
 
 A matrix M counts as potent when its minimal polynomial is squarefree.
 That gives M^(k+1) = M for k = lcm(q^d - 1 : d <= n), but it is stricter
@@ -44,6 +45,7 @@ from .poly import (
     Poly,
     _distinct_degree_parts,
     _monic,
+    _mul,
     _pow_mod,
     is_squarefree,
 )
@@ -278,45 +280,47 @@ def char_poly(M):
     """Characteristic polynomial det(XI - M), monic of degree n.
 
     Division-free Toeplitz recurrence over trailing principal submatrices,
-    so it works verbatim over any finite field.
+    so it works verbatim over any finite field.  Each step's dot products
+    are one backend times and total.  The running polynomial v is kept as
+    descending coefficients, and each step replaces it by the product of
+    the lower-triangular Toeplitz matrix of the column t with v: the first
+    len(v) + 1 coefficients of poly._mul(t, v).
     """
     spec, n = M.spec, M.n
-    neg, mul, add = spec._neg, spec._mul, spec._add
+    ops = spec._ops()
     ent = M.entries
-    v = [1]
+    v = (1,)
     for i in range(n - 1, -1, -1):
-        m = n - i
-        a = ent[i * n + i]
         row = ent[i * n + i + 1:(i + 1) * n]
-        col = [ent[r * n + i] for r in range(i + 1, n)]
         sub = [ent[r * n + i + 1:(r + 1) * n] for r in range(i + 1, n)]
-        t = [1, neg(a)]
-        w = col
-        for _ in range(2, m + 1):
-            dot = 0
-            for rc, wc in zip(row, w):
-                if rc and wc:
-                    dot = add(dot, mul(rc, wc))
-            t.append(neg(dot))
-            nxt = []
-            for r in sub:
-                acc = 0
-                for rc, wc in zip(r, w):
-                    if rc and wc:
-                        acc = add(acc, mul(rc, wc))
-                nxt.append(acc)
-            w = nxt
-        out = [0] * (m + 1)
-        for idx in range(m + 1):
-            acc = 0
-            for j in range(max(0, idx - len(t) + 1), min(idx + 1, len(v))):
-                tc = t[idx - j]
-                vc = v[j]
-                if tc and vc:
-                    acc = add(acc, mul(tc, vc))
-            out[idx] = acc
-        v = out
-    return Poly._raw(spec, tuple(reversed(v)))
+        w = [ent[r * n + i] for r in range(i + 1, n)]
+        dots = [ent[i * n + i]]
+        for _ in range(n - i - 1):
+            dots.append(ops.total(ops.times(row, w)))
+            w = [ops.total(ops.times(r, w)) for r in sub]
+        v = _mul((1, *ops.negate(dots)), v, ops)[:len(v) + 1]
+    return Poly._raw(spec, v[::-1])
+
+
+def _poly_at(coeffs, M):
+    """The matrix c_0 I + c_1 M + ... + c_k M^k of the coefficient tuple
+    coeffs = (c_0, ..., c_k), by Horner's rule: one product through
+    _product and one backend plus on the diagonal per coefficient below
+    the top nonzero one."""
+    spec, n = M.spec, M.n
+    ops = spec._ops()
+    product = _product(n, ops)
+    diag = slice(None, None, n + 1)
+    k = len(coeffs)
+    while k and not coeffs[k - 1]:
+        k -= 1
+    acc = [0] * (n * n)
+    for j in range(k - 1, -1, -1):
+        if j < k - 1:
+            acc = list(product(acc, M.entries, ops))
+        if coeffs[j]:
+            acc[diag] = ops.plus(acc[diag], (coeffs[j],) * n)
+    return Mat._raw(spec, n, tuple(acc))
 
 
 def _reduce(basis, vec, combo, spec):
@@ -491,26 +495,3 @@ def potency_exponent(M):
     min_poly_exponent."""
     return min_poly_exponent(min_poly(M))
 
-
-def linear_combination(vectors, target, spec):
-    """Coefficients c with sum(c[i] * vectors[i]) = target, or None.
-
-    Each vector is reduced through _reduce in turn, then the target; a
-    vector that depends on earlier ones gets coefficient 0, so the answer
-    is deterministic.  vectors and target are flat tuples of equal length.
-    """
-    k = len(vectors)
-    if any(len(v) != len(target) for v in vectors):
-        raise DimensionMismatch("vectors must all match the target length")
-    basis = []
-    for j, v in enumerate(vectors):
-        vec, combo = list(v), [0] * k
-        combo[j] = 1
-        pivot = _reduce(basis, vec, combo, spec)
-        if pivot is not None:
-            basis.append(_basis_row(vec, pivot, combo, spec))
-    # what is left of the target is target + sum(combo[i] * vectors[i])
-    combo = [0] * k
-    if _reduce(basis, list(target), combo, spec) is not None:
-        return None
-    return tuple(spec._ops().negate(combo))

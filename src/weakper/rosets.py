@@ -34,7 +34,7 @@ from .gf import (
     power_exceeds,
     unity_powers,
 )
-from .mat import Mat, char_poly, cycle_permutation_matrix, det
+from .mat import Mat, _poly_at, char_poly, cycle_permutation_matrix, det
 from .poly import root_extension, roots_in_extensions
 
 DEFAULT_M_MAX = 8
@@ -89,18 +89,7 @@ class WeightPattern(collections.namedtuple("WeightPattern", "m coeffs")):
         return tuple(out)
 
     def apply(self, M):
-        spec = M.spec
-        acc = Mat.zeros(spec, M.n)
-        power = Mat.identity(spec, M.n)
-        prev = 0
-        for e, w in self.coeffs:
-            for _ in range(e - prev):
-                power = power * M
-            prev = e
-            scalar = w % spec.p
-            if scalar:
-                acc = acc + power.scale(scalar)
-        return acc
+        return _poly_at(tuple(w % M.spec.p for w in self.dense()), M)
 
     def serialize(self):
         return {"m": self.m, "weights": list(self.dense())}

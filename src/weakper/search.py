@@ -9,8 +9,10 @@ functionals vanishing on W, and the list is sorted by entry tuple, which
 is encoding order.  The full-rank test runs through mat._reduce, the
 package's one elimination loop.  The brute cap still bounds q^(n^2), the
 size of the space the candidates come from.  brute_commuting_decompose
-needs no search: the potent part of a commuting split is the Jordan-Chevalley
-semisimple part of C, a q-power of C.  verify_field runs one of the
+needs no search: the potent part of a commuting split is the
+Jordan-Chevalley semisimple part of C, a polynomial in C that one Newton
+step on the radical of min_poly(C) gives, and the split exists exactly
+when min_poly(C) is cube-free.  verify_field runs one of the
 decomposition routes over all q^n companion matrices and emits a
 deterministic report whose witnesses have all been re-verified.
 """
@@ -32,9 +34,6 @@ from .companion import (
 from .errors import (
     FieldTooSmall,
     InputError,
-    NoPolynomialRepresentation,
-    NotCommuting,
-    NotInvertible,
     SearchSpaceTooLarge,
     TraceNotRealizable,
     WeakperError,
@@ -43,16 +42,20 @@ from .gf import parse_field, power_exceeds
 from .mat import (
     Mat,
     _basis_row,
+    _poly_at,
     _reduce,
     _squarefree,
-    char_poly,
-    is_square_zero,
-    linear_combination,
     min_poly,
     min_poly_exponent,
-    potency_exponent,
 )
-from .poly import Poly, pow_mod
+from .poly import (
+    Poly,
+    _derivative,
+    _distinct_degree_parts,
+    _divmod_monic,
+    _mul,
+    _pow_mod,
+)
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_BRUTE_CAP = 1 << 24
@@ -184,73 +187,41 @@ def brute_commuting_decompose(C):
     when C has none.
 
     P is potent, hence semisimple, and N nilpotent, so P must be the
-    semisimple part s of C, for every square matrix: a split exists
-    exactly when C - s squares to zero, and it is then the only one.
-    q^n >= n is at least the nilpotency index, so A = C^(q^n) = s^(q^n).
-    The q-th power is an automorphism of the algebra of s of order d, the
-    lcm of the degrees of the factors of min_poly(s), at most Landau's
-    g(n) (60 at n = 13); the steps B <- B^q from A return to A after d of
-    them, and s is the step j with n + j = 0 mod d.  That costs n + d
-    q-th powers, where C^(q^lcm(1..n)) would cost lcm(1..n).
+    semisimple part s(C) of C, for every square matrix: a split exists
+    exactly when N = C - s(C) squares to zero, and it is then the only
+    one.  With m = min_poly(C) and f = rad(m), the product of its
+    distinct-degree parts, s is one Newton step X - f.(f')^-1 for f, so
+    N = r(C) with r = f.u mod m and u f' = 1 mod h, h = m / f.  N^2 = 0
+    exactly when m divides f^2, that is when h divides f (m cube-free).
+    Then F[X]/(h) is a product of fields GF(q^d), d the degrees of the
+    parts, in which f' is a unit (f is separable), so u = (f')^(e-1)
+    mod h with e the lcm of the q^d - 1, and min_poly(P) = f gives the
+    exponent.  A squarefree m has s = X.
     """
-    q, n = C.spec.order, C.n
-    orbit = [C ** (q ** n)]
-    bound = math.lcm(*range(1, n + 1))  # d divides it
-    while len(orbit) <= bound:
-        B = orbit[-1] ** q
-        if B == orbit[0]:
-            break
-        orbit.append(B)
-    P = orbit[-n % len(orbit)]
-    exponent = potency_exponent(P) if len(orbit) <= bound else None
-    if exponent is None:
-        raise WeakperError("C^(q^n) is not semisimple, or s is not potent")
-    N = C - P
-    if not is_square_zero(N):
+    spec, n = C.spec, C.n
+    m = min_poly(C)
+    if _squarefree(m):
+        return Witness(potent=C, nilpotent=Mat.zeros(spec, n),
+                       exponent=min_poly_exponent(m), commuting=True,
+                       source="brute_commuting")
+    ops = spec._ops()
+    f, e = (1,), 1
+    for d, part in _distinct_degree_parts(m.coeffs, spec):
+        if len(part) > 1:
+            f = _mul(f, part, ops)
+            e = math.lcm(e, spec.order ** d - 1)
+    h = _divmod_monic(m.coeffs, f, ops)[0]
+    if _divmod_monic(f, h, ops)[1]:
         return None
+    u = _pow_mod(_derivative(f, spec), e - 1, h, ops)
+    N = _poly_at(_divmod_monic(_mul(f, u, ops), m.coeffs, ops)[1], C)
     return Witness(
-        potent=P,
+        potent=C - N,
         nilpotent=N,
-        exponent=exponent,
+        exponent=min_poly_exponent(Poly._raw(spec, f)),
         commuting=True,
         source="brute_commuting",
     )
-
-
-def root_of_unity_certificate(C, t):
-    """True iff char_poly(C) divides (X^(t-1) - 1)^2; C must be invertible
-    and t the potency exponent of a commuting decomposition, t > 1."""
-    if not isinstance(t, int) or t < 2:
-        raise InputError(f"certificate exponent must be > 1, got {t!r}")
-    chi = char_poly(C)
-    if chi.coeffs[0] == 0:
-        raise NotInvertible(
-            "certificate requires an invertible matrix "
-            "(nonzero constant term)")
-    spec = C.spec
-    s = pow_mod(Poly.x(spec), t - 1, chi) - Poly.one(spec)
-    return ((s * s) % chi).is_zero()
-
-
-def fixed_point_certificate(C, P):
-    """Express P as a polynomial q in C and test char_poly(C) | (q(X)-X)^2.
-
-    P must commute with C; for a companion C the commutant is exactly the
-    polynomials in C, so the Krylov system is solvable and a failure to
-    solve signals a broken invariant.  Returns (q, bool).
-    """
-    if C * P != P * C:
-        raise NotCommuting("P does not commute with C")
-    spec = C.spec
-    powers = [(C ** i).entries for i in range(C.n)]
-    coeffs = linear_combination(powers, P.entries, spec)
-    if coeffs is None:
-        raise NoPolynomialRepresentation(
-            "P is not a polynomial in C although they commute")
-    q_poly = Poly(spec, coeffs)
-    chi = char_poly(C)
-    s = (q_poly - Poly.x(spec)) % chi
-    return q_poly, ((s * s) % chi).is_zero()
 
 
 def decompose(form, mode, brute_cap=DEFAULT_BRUTE_CAP):

@@ -19,7 +19,11 @@ is_squarefree_by_polys, distinct_degree_parts_by_polys and
 min_poly_by_mats are the Poly- and Mat-level bodies of gcd, pow_mod,
 is_squarefree, distinct_degree_parts and min_poly from before those ran
 on coefficient and entry tuples: one Poly or Mat per remainder, product
-and power.
+and power.  commuting_split_by_orbit finds the semisimple part of a
+commuting split by matrix powers round the Frobenius orbit, as
+brute_commuting_decompose did before its Newton step.
+linear_combination, root_of_unity_certificate and fixed_point_certificate
+are the references the certificate criteria and the backend tests call.
 """
 
 import functools
@@ -31,7 +35,13 @@ from unittest import mock
 import pytest
 
 from weakper import companion, mat
-from weakper.errors import InputError, MinPolyNotFound, ZeroPolynomial
+from weakper.companion import Witness
+from weakper.errors import (
+    DimensionMismatch,
+    InputError,
+    MinPolyNotFound,
+    ZeroPolynomial,
+)
 from weakper.gf import (
     ElementOps,
     FieldSpec,
@@ -39,7 +49,15 @@ from weakper.gf import (
     power,
     prime_factors,
 )
-from weakper.mat import Mat, _basis_row, _reduce, is_square_zero, min_poly
+from weakper.mat import (
+    Mat,
+    _basis_row,
+    _reduce,
+    char_poly,
+    is_square_zero,
+    min_poly,
+    potency_exponent,
+)
 from weakper.poly import Poly, factor, is_squarefree, pow_mod
 
 SEED = 1729
@@ -329,6 +347,90 @@ def min_poly_by_mats(M):
         basis.append(_basis_row(vec, pivot, combo, spec))
         acc = acc * M if k else M
         k += 1
+
+
+def commuting_split_by_orbit(C):
+    """brute_commuting_decompose by matrix powers: q^n >= n is at least
+    the nilpotency index, so A = C^(q^n) = s^(q^n) for the semisimple part
+    s of C.  The q-th power is an automorphism of the algebra of s of
+    order d, the lcm of the degrees of the factors of min_poly(s), at most
+    Landau's g(n); the steps B <- B^q from A return to A after d of them,
+    and s is the step j with n + j = 0 mod d.  The split is P = s,
+    N = C - s when N^2 = 0, else None."""
+    q, n = C.spec.order, C.n
+    orbit = [C ** (q ** n)]
+    bound = math.lcm(*range(1, n + 1))  # d divides it
+    while len(orbit) <= bound:
+        B = orbit[-1] ** q
+        if B == orbit[0]:
+            break
+        orbit.append(B)
+    assert len(orbit) <= bound, "C^(q^n) never returned to itself"
+    P = orbit[-n % len(orbit)]
+    exponent = potency_exponent(P)
+    assert exponent is not None, "the semisimple part is not potent"
+    N = C - P
+    if not is_square_zero(N):
+        return None
+    return Witness(potent=P, nilpotent=N, exponent=exponent, commuting=True,
+                   source="brute_commuting")
+
+
+def linear_combination(vectors, target, spec):
+    """Coefficients c with sum(c[i] * vectors[i]) = target, or None.
+
+    Each vector is reduced through mat._reduce in turn, then the target; a
+    vector that depends on earlier ones gets coefficient 0, so the answer
+    is deterministic.  vectors and target are flat tuples of equal length.
+    """
+    k = len(vectors)
+    if any(len(v) != len(target) for v in vectors):
+        raise DimensionMismatch("vectors must all match the target length")
+    basis = []
+    for j, v in enumerate(vectors):
+        vec, combo = list(v), [0] * k
+        combo[j] = 1
+        pivot = _reduce(basis, vec, combo, spec)
+        if pivot is not None:
+            basis.append(_basis_row(vec, pivot, combo, spec))
+    # what is left of the target is target + sum(combo[i] * vectors[i])
+    combo = [0] * k
+    if _reduce(basis, list(target), combo, spec) is not None:
+        return None
+    return tuple(spec._ops().negate(combo))
+
+
+def root_of_unity_certificate(C, t):
+    """True iff char_poly(C) divides (X^(t-1) - 1)^2; C must be invertible
+    and t the potency exponent of a commuting decomposition, t > 1."""
+    if not isinstance(t, int) or t < 2:
+        raise InputError(f"certificate exponent must be > 1, got {t!r}")
+    chi = char_poly(C)
+    if chi.coeffs[0] == 0:
+        raise InputError("certificate requires an invertible matrix "
+                         "(nonzero constant term)")
+    spec = C.spec
+    s = pow_mod(Poly.x(spec), t - 1, chi) - Poly.one(spec)
+    return ((s * s) % chi).is_zero()
+
+
+def fixed_point_certificate(C, P):
+    """Express P as a polynomial q in C and test char_poly(C) | (q(X)-X)^2.
+
+    P must commute with C; for a companion C the commutant is exactly the
+    polynomials in C, so the Krylov system is solvable.  Returns
+    (q, bool).
+    """
+    if C * P != P * C:
+        raise InputError("P does not commute with C")
+    spec = C.spec
+    powers = [(C ** i).entries for i in range(C.n)]
+    coeffs = linear_combination(powers, P.entries, spec)
+    assert coeffs is not None, "P commutes with C but is no polynomial in C"
+    q_poly = Poly(spec, coeffs)
+    chi = char_poly(C)
+    s = (q_poly - Poly.x(spec)) % chi
+    return q_poly, ((s * s) % chi).is_zero()
 
 
 def element_loops():

@@ -52,12 +52,12 @@ from weakper.rosets import (
 from weakper.search import (
     brute_commuting_decompose,
     brute_decompose,
-    fixed_point_certificate,
     load_report,
     reverify_report,
-    root_of_unity_certificate,
     verify_field,
 )
+
+from conftest import fixed_point_certificate, root_of_unity_certificate
 
 SEED = 1729
 

@@ -1000,6 +1000,17 @@ class TestGoldenReports:
          "c57e151c2d006bea7098ecfc87cc463448d42fbe4912ed857028b0e81a6b5dc0"),
         (("sets", "--field", "5", "--n", "3"), 0,
          "0a30162556ca04264bf59a9f651833cf21910d2ca62f00565358ec6b5b9d6233"),
+        # the commuting route past the straight-line products, and at
+        # n = 13 on a polynomial with repeated factors
+        (("conjecture", "--field", "2", "--n", "6"), 0,
+         "fab30a8cb5c60fd363d90e6bf97b2451238fc1301b4a97333ebaef5a2e161b81"),
+        (("conjecture", "--field", "3", "--n", "5"), 0,
+         "f47587606795cf2282977fbc07905116376e857e01084d4d723a13888cec1163"),
+        (("conjecture", "--field", "2^2", "--n", "4"), 0,
+         "f5969b40ce8be893f9733baf6159a6141ff23ade76d381911653a005ad9ad274"),
+        (("decompose", "--field", "2", "--poly",
+          "1,0,1,0,0,0,0,0,0,0,1,1,1,1", "--mode", "commuting"), 0,
+         "3848b6326ce68375742dbd0d55330df7df32b7182b408de3b669a6a0219876a2"),
     ])
     def test_stdout(self, capsys, argv, code, digest):
         got, out, _ = invoke(capsys, *argv)

@@ -27,7 +27,6 @@ from weakper.mat import (
     is_potent_at,
     is_potent_iterative,
     is_square_zero,
-    linear_combination,
     min_poly,
     min_poly_exponent,
     potency_exponent,
@@ -39,6 +38,7 @@ from weakper.companion import companion_of
 from conftest import (
     _irreducible_root_order,
     char_poly_laplace,
+    linear_combination,
     min_poly_by_mats,
     min_poly_scan,
     poly_at_matrix,
@@ -173,7 +173,7 @@ class TestPrimeFieldProduct:
             a = random_matrix(seeded_rng, gf5, n)
             b = random_matrix(seeded_rng, gf5, n)
             a * b, a + b, a - b
-            min_poly(a), det(a)
+            min_poly(a), det(a), char_poly(a), mat._poly_at((1, 2, 3), a)
             linear_combination([a.entries, b.entries], (a + b).entries, gf5)
         assert calls == []
         # a field past the table bound still multiplies element by element
@@ -304,8 +304,11 @@ class TestCharPoly:
             m = Mat(spec, 2, tuple(e))
             assert char_poly(m) == char_poly_laplace(m)
 
-    def test_agrees_with_cofactor_expansion_sampled(self, gf4, gf5, seeded_rng):
-        for spec in (gf4, gf5):
+    def test_agrees_with_cofactor_expansion_sampled(self, gf4, gf5, gf9,
+                                                    seeded_rng):
+        # one field per backend kind: integers, xor and add tables, and
+        # the element loops past the table bound in both characteristics
+        for spec in (gf5, gf4, gf9, build_field(2, 8), build_field(3, 5)):
             for n in (3, 4):
                 for _ in range(25):
                     m = random_matrix(seeded_rng, spec, n)
@@ -315,6 +318,32 @@ class TestCharPoly:
         for _ in range(50):
             m = random_matrix(seeded_rng, gf4, 3)
             assert poly_at_matrix(char_poly(m), m).is_zero()
+
+
+class TestPolyAt:
+    @pytest.mark.parametrize("p,l", [(5, 1), (2, 2), (3, 2), (2, 8)])
+    def test_matches_horner_on_mats(self, p, l, seeded_rng):
+        # n = 1..6 crosses the straight-line cut; zero and trailing-zero
+        # coefficient tuples included
+        spec = build_field(p, l)
+        for n in range(1, 7):
+            m = random_matrix(seeded_rng, spec, n)
+            for k in range(5):
+                coeffs = tuple(seeded_rng.randrange(spec.order)
+                               for _ in range(k)) + (0,) * (k % 2)
+                assert mat._poly_at(coeffs, m) == poly_at_matrix(
+                    Poly(spec, coeffs), m)
+
+    def test_one_product_per_degree(self, gf5, seeded_rng,
+                                    mat_product_budget):
+        # trailing zeros cost nothing, and neither does the top coefficient
+        m = random_matrix(seeded_rng, gf5, 3)
+        used = mat_product_budget(10)
+        assert mat._poly_at((0, 0), m).is_zero()
+        assert mat._poly_at((4,), m) == Mat.identity(gf5, 3).scale(4)
+        assert used[0] == 0
+        mat._poly_at((1, 2, 3, 0, 0), m)
+        assert used[0] == 2
 
 
 class TestDet:

@@ -6,13 +6,18 @@ import math
 
 import pytest
 
-from conftest import RECORD_MUTATIONS, square_zero_oracle
+from conftest import (
+    RECORD_MUTATIONS,
+    commuting_split_by_orbit,
+    fixed_point_certificate,
+    root_of_unity_certificate,
+    square_zero_oracle,
+)
+import weakper
 from weakper import search
 from weakper.errors import (
     FieldTooSmall,
     InputError,
-    NotCommuting,
-    NotInvertible,
     SearchSpaceTooLarge,
     TraceNotRealizable,
     WeakperError,
@@ -31,10 +36,8 @@ from weakper.search import (
     conjecture_scan,
     count_decompositions,
     decompose,
-    fixed_point_certificate,
     load_report,
     reverify_report,
-    root_of_unity_certificate,
     verify_field,
 )
 
@@ -231,13 +234,34 @@ class TestBruteCommutingDecompose:
         (2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
     def test_matches_filter_oracle_on_every_matrix(self, p, l, n):
         # derogatory matrices included: the route finds the semisimple
-        # part of every square matrix
+        # part of every square matrix, as the Frobenius orbit does
         spec = build_field(p, l)
         oracle = square_zero_oracle(spec, n)
         for ent in itertools.product(range(spec.order), repeat=n * n):
             C = Mat._raw(spec, n, ent)
             assert (brute_commuting_decompose(C)
-                    == first_commuting_witness(C, oracle))
+                    == first_commuting_witness(C, oracle)
+                    == commuting_split_by_orbit(C))
+
+    @pytest.mark.parametrize("p,l,n_max", [
+        (2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (7, 1, 3), (2, 3, 3),
+        (3, 2, 3)])
+    def test_matches_orbit_oracle_on_every_companion(self, p, l, n_max):
+        # the Newton step and the Frobenius orbit agree on P, N, the
+        # exponent and the verdict of every companion up to n_max
+        spec = build_field(p, l)
+        for n in range(1, n_max + 1):
+            for form in enumerate_companions(n, spec):
+                assert (brute_commuting_decompose(form.matrix)
+                        == commuting_split_by_orbit(form.matrix))
+
+    def test_nilpotent_square_has_zero_potent_part(self, gf2, gf3, gf4):
+        # min_poly X^2: rad = X, so N = C, P = 0 and min_poly(P) = X
+        for spec in (gf2, gf3, gf4):
+            C = companion_of(Poly(spec, (0, 0, 1))).matrix
+            assert brute_commuting_decompose(C) == Witness(
+                potent=Mat.zeros(spec, 2), nilpotent=C, exponent=2,
+                commuting=True, source="brute_commuting")
 
     @pytest.mark.parametrize("p,l,n", [
         (2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (2, 2, 2), (5, 1, 2),
@@ -252,21 +276,6 @@ class TestBruteCommutingDecompose:
                     for form in enumerate_companions(n, spec))
         assert count == (q ** n - q ** (n - 2) if n >= 3 else q ** n)
 
-    def test_non_potent_power_raises(self, gf5, monkeypatch):
-        # the semisimple part is potent for every C; a failure is a broken
-        # invariant, not a missing split
-        # potency_exponent decides potency there: None means not potent
-        monkeypatch.setattr(search, "potency_exponent", lambda M: None)
-        C = companion_of(Poly(gf5, (1, 3, 1))).matrix
-        with pytest.raises(WeakperError, match="semisimple"):
-            brute_commuting_decompose(C)
-
-    def test_power_that_never_cycles_back_raises(self, gf5, monkeypatch):
-        monkeypatch.setattr(Mat, "__eq__", lambda a, b: False)
-        C = companion_of(Poly(gf5, (1, 3, 1))).matrix
-        with pytest.raises(WeakperError, match="semisimple"):
-            brute_commuting_decompose(C)
-
     @pytest.mark.parametrize("low,splits", [
         # (X+1)^2 (X^2+X+1) times an irreducible of degree 9
         ((1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1), True),
@@ -275,8 +284,9 @@ class TestBruteCommutingDecompose:
     ])
     def test_degree_13_costs_few_products(self, gf2, low, splits,
                                           mat_product_budget):
-        # C^(2^lcm(1..13)) would take 360,360 squarings; stepping around
-        # the Frobenius cycle takes n + d q-th powers, d <= g(13) = 60
+        # C^(2^lcm(1..13)) would take 360,360 squarings; the Newton step
+        # takes min_poly(C)'s powers and at most n - 1 Horner products, and
+        # the checker its own min_poly(P) and P^t
         C = companion_of(Poly(gf2, low + (1,))).matrix
         used = mat_product_budget(400)
         w = brute_commuting_decompose(C)
@@ -287,6 +297,28 @@ class TestBruteCommutingDecompose:
         assert used[0] > 0
 
 
+def test_export_list_is_pinned():
+    # adding or dropping a public name is a decision this list shows
+    assert sorted(weakper.__all__) == [
+        "CompanionForm", "CompanionRecord", "ConjectureScan",
+        "ContainmentReport", "FieldSpec", "InputError", "LimitError", "Mat",
+        "Poly", "SRWitness", "TOOL_VERSION", "TraceNotRealizable",
+        "VerifyReport", "WeakperError", "WeightPattern", "Witness",
+        "brute_commuting_decompose", "brute_decompose", "build_field",
+        "char_poly", "companion_of", "conjecture_scan", "containment_report",
+        "count_decompositions", "cycle_permutation_matrix", "det",
+        "divisor_count", "embed", "enumerate_companions", "factor", "gcd",
+        "gcd_divisibility", "is_potent", "is_potent_iterative",
+        "is_square_zero", "is_squarefree", "load_report", "min_poly",
+        "parse_field", "parse_poly", "pattern_spectra", "potency_exponent",
+        "potent_companion_with_trace", "potent_trace_set", "pow_mod",
+        "prime_shift_certificate", "reverify_report", "roots_in_extensions",
+        "roots_of_unity", "subfield_lattice", "trace_matched_decomposition",
+        "unity_sum_set", "verify_field", "weight_patterns"]
+    for name in weakper.__all__:
+        assert getattr(weakper, name) is not None
+
+
 class TestRootOfUnityCertificate:
     def test_frozen_gf3(self, gf3):
         C = companion_of(Poly(gf3, (2, 0, 1))).matrix
@@ -295,7 +327,7 @@ class TestRootOfUnityCertificate:
 
     def test_needs_invertible_matrix(self, gf3):
         C = companion_of(Poly(gf3, (0, 0, 1))).matrix
-        with pytest.raises(NotInvertible):
+        with pytest.raises(InputError, match="invertible"):
             root_of_unity_certificate(C, 2)
 
     def test_exponent_must_exceed_one(self, gf3):
@@ -321,7 +353,7 @@ class TestFixedPointCertificate:
         C = companion_of(Poly(gf3, (2, 0, 1))).matrix
         P = Mat.from_rows(gf3, [[0, 0], [1, 0]])
         assert C * P != P * C
-        with pytest.raises(NotCommuting):
+        with pytest.raises(InputError, match="does not commute"):
             fixed_point_certificate(C, P)
 
     def test_polynomial_replays(self, gf5):

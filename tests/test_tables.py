@@ -10,11 +10,16 @@ import pytest
 from weakper import companion, gf, search
 from weakper.companion import companion_of
 from weakper.gf import FieldSpec, build_field
-from weakper.mat import Mat, det, linear_combination, min_poly
+from weakper.mat import Mat, det, min_poly
 from weakper.poly import Poly
 from weakper.rosets import _spectra_by_evaluation, weight_patterns
 
-from conftest import add_by_digits, element_loops, random_matrix
+from conftest import (
+    add_by_digits,
+    element_loops,
+    linear_combination,
+    random_matrix,
+)
 
 # every extension field with q <= 128 and p <= 13, as (p, l)
 TABLE_FIELDS = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 2),
