@@ -19,12 +19,10 @@ import functools
 import itertools
 
 from .errors import (
-    BadDimension,
     EnumerationTooLarge,
     FieldTooSmall,
-    NotMonic,
+    InputError,
     TraceNotRealizable,
-    ZeroDegree,
 )
 from .gf import power_exceeds
 from .mat import (
@@ -89,10 +87,10 @@ def _companion_entries(template, column):
 def companion_of(g):
     """Companion matrix of a monic polynomial of degree >= 1."""
     if g.is_zero() or not g.is_monic():
-        raise NotMonic(f"companion form needs a monic polynomial, got {g!r}")
+        raise InputError(f"companion form needs a monic polynomial, got {g!r}")
     n = g.degree
     if n < 1:
-        raise ZeroDegree("companion form needs degree >= 1")
+        raise InputError("companion form needs degree >= 1")
     spec = g.spec
     column = spec._ops().negate(g.coeffs[:n])
     return CompanionForm(poly=g, matrix=Mat._raw(
@@ -106,7 +104,7 @@ def enumerate_companions(n, spec, bound=DEFAULT_ENUM_BOUND):
     columns (-a_0, ..., -a_{n-1}) run in the same order over the negated
     elements: the field is negated once, not once per companion."""
     if not isinstance(n, int) or n < 1:
-        raise BadDimension(f"dimension must be >= 1, got {n!r}")
+        raise InputError(f"dimension must be >= 1, got {n!r}")
     q = spec.order
     if power_exceeds(q, n, bound):
         raise EnumerationTooLarge(
@@ -133,7 +131,7 @@ def potent_companion_with_trace(t, n, spec):
     """
     spec.check(t)
     if not isinstance(n, int) or n < 1:
-        raise BadDimension(f"dimension must be >= 1, got {n!r}")
+        raise InputError(f"dimension must be >= 1, got {n!r}")
     q = spec.order
     if q < n + 1:
         raise FieldTooSmall(
@@ -270,7 +268,7 @@ def potent_trace_set(n, spec, bound=DEFAULT_ENUM_BOUND):
     walking a_0 slowest would test those q^(n-2) hopeless g first.
     """
     if not isinstance(n, int) or n < 1:
-        raise BadDimension(f"dimension must be >= 1, got {n!r}")
+        raise InputError(f"dimension must be >= 1, got {n!r}")
     q = spec.order
     if power_exceeds(q, n, bound):
         raise EnumerationTooLarge(

@@ -23,14 +23,10 @@ import math
 import operator
 
 from .errors import (
-    BadDegree,
-    DegreeOutOfRange,
     DivisionByZero,
-    FieldMismatch,
     InputError,
-    NoRootFound,
-    NotASubfield,
-    NotPrime,
+    LimitError,
+    WeakperError,
 )
 
 DEFAULT_FIELD_BOUND = 1 << 20
@@ -144,7 +140,7 @@ def _smallest_irreducible(p, l):
         cand = low + (1,)
         if is_irreducible(Poly._raw(base, cand)):
             return cand
-    raise NoRootFound(f"no irreducible of degree {l} over GF({p})")
+    raise WeakperError(f"no irreducible of degree {l} over GF({p})")
 
 
 class _Backend:
@@ -402,7 +398,7 @@ class FieldSpec:
 
     def check(self, x):
         if not isinstance(x, int) or not 0 <= x < self.order:
-            raise FieldMismatch(
+            raise InputError(
                 f"{x!r} is not an element encoding of GF({self.p}^{self.l})")
         return x
 
@@ -612,7 +608,7 @@ class FieldSpec:
             acc = back_lo[s % cut] + back_hi[s // cut]
         # a g of smaller order returns to 1 early and rewrites log[1]
         if acc != 1 or log[1] != 0:
-            raise NoRootFound("generator order check failed")
+            raise WeakperError("generator order check failed")
         self._exp = exp + exp
         self._log = log
 
@@ -626,7 +622,7 @@ class FieldSpec:
         for g in range(2, q):
             if all(power(g, t, self._raw_mul) != 1 for t in targets):
                 return g
-        raise NoRootFound(f"no generator found in GF({self.p}^{self.l})")
+        raise WeakperError(f"no generator found in GF({self.p}^{self.l})")
 
     # validating public arithmetic
 
@@ -674,11 +670,11 @@ def _canonical_field(p, l):
 
 def build_field(p, l, bound=DEFAULT_FIELD_BOUND):
     if not isinstance(p, int) or not is_prime(p):
-        raise NotPrime(f"{p!r} is not a prime")
+        raise InputError(f"{p!r} is not a prime")
     if not isinstance(l, int) or l < 1:
-        raise BadDegree(f"extension degree must be >= 1, got {l!r}")
+        raise InputError(f"extension degree must be >= 1, got {l!r}")
     if power_exceeds(p, l, bound):
-        raise DegreeOutOfRange(
+        raise LimitError(
             f"field order {p}^{l} exceeds the bound {bound}")
     return _canonical_field(p, l)
 
@@ -708,7 +704,7 @@ def parse_field(text, bound=DEFAULT_FIELD_BOUND):
             raise InputError(
                 f"cannot parse modulus coefficients {mod_text!r}") from None
         if coeffs != spec.modulus:
-            raise FieldMismatch(
+            raise InputError(
                 f"modulus {mod_text} is not the canonical modulus "
                 f"{','.join(map(str, spec.modulus))} of GF({p}^{l})")
     return spec
@@ -737,7 +733,7 @@ def _embedding_powers(sub, sup):
     root = next((y for y in candidates if horner(sup, sub.modulus, y) == 0),
                 None)
     if root is None:
-        raise NoRootFound(
+        raise WeakperError(
             f"modulus of GF({sub.p}^{sub.l}) has no root in "
             f"GF({sup.p}^{sup.l})")
     powers = [1]
@@ -754,7 +750,7 @@ def embed(x, sub, sup):
     """
     sub.check(x)
     if sub.p != sup.p or sup.l % sub.l != 0:
-        raise NotASubfield(
+        raise InputError(
             f"GF({sub.p}^{sub.l}) does not embed into GF({sup.p}^{sup.l})")
     if sub is sup or sub == sup:
         return x

@@ -33,12 +33,9 @@ import functools
 import math
 
 from .errors import (
-    BadDimension,
-    DimensionMismatch,
-    ExponentOverflow,
-    FieldMismatch,
     InputError,
-    MinPolyNotFound,
+    LimitError,
+    WeakperError,
 )
 from .gf import multiplicative_order, power
 from .poly import (
@@ -128,10 +125,10 @@ class Mat:
 
     def __init__(self, spec, n, entries):
         if not isinstance(n, int) or n < 1:
-            raise BadDimension(f"matrix dimension must be >= 1, got {n!r}")
+            raise InputError(f"matrix dimension must be >= 1, got {n!r}")
         entries = tuple(entries)
         if len(entries) != n * n:
-            raise DimensionMismatch(
+            raise InputError(
                 f"expected {n * n} entries for a {n}x{n} matrix, "
                 f"got {len(entries)}")
         for e in entries:
@@ -153,13 +150,13 @@ class Mat:
         rows = [tuple(r) for r in rows]
         n = len(rows)
         if any(len(r) != n for r in rows):
-            raise DimensionMismatch("rows do not form a square matrix")
+            raise InputError("rows do not form a square matrix")
         return cls(spec, n, tuple(e for r in rows for e in r))
 
     @classmethod
     def identity(cls, spec, n):
         if not isinstance(n, int) or n < 1:
-            raise BadDimension(f"matrix dimension must be >= 1, got {n!r}")
+            raise InputError(f"matrix dimension must be >= 1, got {n!r}")
         return cls._raw(spec, n,
                         tuple(1 if i == j else 0
                               for i in range(n) for j in range(n)))
@@ -167,21 +164,21 @@ class Mat:
     @classmethod
     def zeros(cls, spec, n):
         if not isinstance(n, int) or n < 1:
-            raise BadDimension(f"matrix dimension must be >= 1, got {n!r}")
+            raise InputError(f"matrix dimension must be >= 1, got {n!r}")
         return cls._raw(spec, n, (0,) * (n * n))
 
     def _compatible(self, other):
         # specs are canonical objects: identity settles the common case
         # without the Python-level FieldSpec.__eq__
         if self.spec is not other.spec and self.spec != other.spec:
-            raise FieldMismatch("matrices live over different fields")
+            raise InputError("matrices live over different fields")
         if self.n != other.n:
-            raise DimensionMismatch(
+            raise InputError(
                 f"dimension mismatch: {self.n} vs {other.n}")
 
     def entry(self, i, j):
         if not (0 <= i < self.n and 0 <= j < self.n):
-            raise BadDimension(f"index ({i}, {j}) out of range for n={self.n}")
+            raise InputError(f"index ({i}, {j}) out of range for n={self.n}")
         return self.entries[i * self.n + j]
 
     def rows(self):
@@ -254,23 +251,14 @@ class Mat:
     def trace(self):
         return self.spec._ops().total(self.entries[::self.n + 1])
 
-    def transpose(self):
-        n = self.n
-        return Mat._raw(self.spec, n,
-                        tuple(self.entries[j * n + i]
-                              for i in range(n) for j in range(n)))
-
     def is_zero(self):
         return not any(self.entries)
-
-    def is_identity(self):
-        return self == Mat.identity(self.spec, self.n)
 
 
 def cycle_permutation_matrix(spec, m):
     """The m-cycle permutation matrix: e_i -> e_(i+1 mod m), m >= 2."""
     if not isinstance(m, int) or m < 2:
-        raise BadDimension(f"cycle length must be >= 2, got {m!r}")
+        raise InputError(f"cycle length must be >= 2, got {m!r}")
     return Mat._raw(spec, m,
                     tuple(1 if j == (i + 1) % m else 0
                           for i in range(m) for j in range(m)))
@@ -396,7 +384,7 @@ def min_poly(M):
         if pivot is None:
             return Poly._raw(spec, tuple(combo))
         if k >= n:
-            raise MinPolyNotFound(
+            raise WeakperError(
                 "power M^n failed to reduce against lower powers")
         basis.append(_basis_row(vec, pivot, combo, spec))
         acc = product(acc, M.entries, ops) if k else M.entries
@@ -407,13 +395,13 @@ def universal_potency_exponent(n, spec):
     """The k with M^(k+1) = M for every potent n x n matrix over spec:
     lcm of q^d - 1 over d = 1..n."""
     if not isinstance(n, int) or n < 1:
-        raise BadDimension(f"dimension must be >= 1, got {n!r}")
+        raise InputError(f"dimension must be >= 1, got {n!r}")
     q = spec.order
     k = 1
     for d in range(1, n + 1):
         k = math.lcm(k, q ** d - 1)
         if k >= EXPONENT_CAP:
-            raise ExponentOverflow(
+            raise LimitError(
                 f"universal potency exponent for n={n}, q={q} exceeds "
                 f"the cap 2^63")
     return k

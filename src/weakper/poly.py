@@ -17,12 +17,9 @@ directly, so a remainder or a power builds no Poly on the way.
 import itertools
 
 from .errors import (
-    DegreeOutOfRange,
     DivisionByZero,
-    FieldMismatch,
-    FieldTooLarge,
     InputError,
-    ZeroPolynomial,
+    LimitError,
 )
 from .gf import DEFAULT_FIELD_BOUND, build_field, embed, horner, power
 
@@ -167,7 +164,7 @@ class Poly:
     @property
     def lead(self):
         if not self.coeffs:
-            raise ZeroPolynomial("the zero polynomial has no leading term")
+            raise InputError("the zero polynomial has no leading term")
         return self.coeffs[-1]
 
     def is_zero(self):
@@ -208,7 +205,7 @@ class Poly:
         # specs are canonical objects: identity settles the common case
         # without the Python-level FieldSpec.__eq__
         if self.spec is not other.spec and self.spec != other.spec:
-            raise FieldMismatch("polynomials live over different fields")
+            raise InputError("polynomials live over different fields")
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -275,17 +272,13 @@ class Poly:
 
     def monic(self):
         if self.is_zero():
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
+            raise InputError("cannot normalize the zero polynomial")
         if self.coeffs[-1] == 1:
             return self
         return Poly._raw(self.spec, _monic(self.coeffs, self.spec))
 
     def derivative(self):
         return Poly._raw(self.spec, _derivative(self.coeffs, self.spec))
-
-    def evaluate(self, x):
-        self.spec.check(x)
-        return horner(self.spec, self.coeffs, x)
 
     def serialize(self):
         return list(self.coeffs)
@@ -308,7 +301,7 @@ def gcd(f, g):
     """Monic greatest common divisor."""
     f._same_field(g)
     if f.is_zero() and g.is_zero():
-        raise ZeroPolynomial("gcd(0, 0) is undefined")
+        raise InputError("gcd(0, 0) is undefined")
     return Poly._raw(f.spec, _gcd(f.coeffs, g.coeffs, f.spec))
 
 
@@ -318,7 +311,7 @@ def pow_mod(base, e, mod):
     if not isinstance(e, int) or e < 0:
         raise InputError(f"exponent must be a non-negative integer, got {e!r}")
     if mod.degree < 1:
-        raise ZeroPolynomial("modulus must have degree >= 1")
+        raise InputError("modulus must have degree >= 1")
     spec = base.spec
     return Poly._raw(spec, _pow_mod(base.coeffs, e, _monic(mod.coeffs, spec),
                                     spec._ops()))
@@ -331,7 +324,7 @@ def is_squarefree(f):
     zero derivative is a p-th power, hence never squarefree.
     """
     if f.is_zero():
-        raise ZeroPolynomial("squarefreeness of 0 is undefined")
+        raise InputError("squarefreeness of 0 is undefined")
     if f.degree == 0:
         return True
     d = _derivative(f.coeffs, f.spec)
@@ -351,9 +344,9 @@ def factor(f):
     FACTOR_DEGREE_CAP are rejected to keep trial division bounded.
     """
     if f.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
+        raise InputError("cannot factor the zero polynomial")
     if f.degree > FACTOR_DEGREE_CAP:
-        raise DegreeOutOfRange(
+        raise LimitError(
             f"degree {f.degree} exceeds the factoring cap {FACTOR_DEGREE_CAP}")
     work = f.monic()
     out = []
@@ -391,7 +384,7 @@ def distinct_degree_parts(f):
     and a caller that stops early pays for no further step.
     """
     if f.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no factorization")
+        raise InputError("the zero polynomial has no factorization")
     spec = f.spec
     for d, h in _distinct_degree_parts(_monic(f.coeffs, spec), spec):
         yield d, Poly._raw(spec, h)
@@ -402,7 +395,7 @@ def is_irreducible(f):
     first nontrivial distinct-degree part is the one of degree deg(f),
     that is gcd(f, X^(q^i) - X) = 1 for every i <= deg(f) / 2."""
     if f.is_zero():
-        raise ZeroPolynomial("irreducibility of 0 is undefined")
+        raise InputError("irreducibility of 0 is undefined")
     if f.degree < 1:
         return False
     d = next(d for d, h in distinct_degree_parts(f) if h.degree > 0)
@@ -411,13 +404,13 @@ def is_irreducible(f):
 
 def root_extension(spec, d, field_bound):
     """Canonical GF(q^d) over spec, where the roots of an irreducible of
-    degree d live; FieldTooLarge when its order exceeds field_bound."""
+    degree d live; LimitError when its order exceeds field_bound."""
     if d == 1:
         return spec
     try:
         return build_field(spec.p, spec.l * d, field_bound)
-    except DegreeOutOfRange:
-        raise FieldTooLarge(
+    except LimitError:
+        raise LimitError(
             f"roots of a degree-{d} factor need GF({spec.p}^{spec.l * d}), "
             f"beyond the bound {field_bound}") from None
 
@@ -431,7 +424,7 @@ def roots_in_extensions(f, max_degree, field_bound=DEFAULT_FIELD_BOUND):
     max_degree contribute nothing.
     """
     if f.is_zero():
-        raise ZeroPolynomial("the zero polynomial has every root")
+        raise InputError("the zero polynomial has every root")
     if not isinstance(max_degree, int) or max_degree < 1:
         raise InputError(
             f"max_degree must be a positive integer, got {max_degree!r}")

@@ -20,10 +20,8 @@ import itertools
 import math
 
 from .errors import (
-    BadDimension,
-    DegreeOutOfRange,
-    FieldTooLarge,
     InputError,
+    LimitError,
 )
 from .companion import DEFAULT_ENUM_BOUND, potent_trace_set
 from .gf import (
@@ -99,9 +97,9 @@ def weight_patterns(m, n):
     """All weight patterns with exponents below m and total weight in
     [1, n], ordered by their dense weight tuple."""
     if not isinstance(m, int) or m < 2:
-        raise BadDimension(f"pattern length must be >= 2, got {m!r}")
+        raise InputError(f"pattern length must be >= 2, got {m!r}")
     if not isinstance(n, int) or n < 1:
-        raise BadDimension(f"weight budget must be >= 1, got {n!r}")
+        raise InputError(f"weight budget must be >= 1, got {n!r}")
 
     def rec(prefix, positions, budget):
         if positions == 0:
@@ -156,7 +154,7 @@ def _spectra_by_evaluation(m, patterns, spec, ext_bound, field_bound):
     so each pattern's values are closed under Frobenius, and the choice of
     embeddings cannot change the reported set.  Roots come in the order
     roots_in_extensions gives, and a home beyond field_bound raises the
-    same FieldTooLarge, for the smallest such d of the first pattern.
+    same LimitError, for the smallest such d of the first pattern.
     """
     p, l = spec.p, spec.l
     order, k = _splitting_degree(m, p)
@@ -257,13 +255,13 @@ def _unity_sums_cached(n, spec, ext_degree, field_bound):
         if top >> 64:
             # an order of p^(2^64) exceeds every bound that fits in memory,
             # and lcm(1..d) soon grows too long to compute or to print
-            raise FieldTooLarge(
+            raise LimitError(
                 f"compositum GF({spec.p}^({spec.l}*lcm(1..{ext_degree}))) "
                 f"exceeds the bound {field_bound}")
     try:
         comp = build_field(spec.p, spec.l * top, field_bound)
-    except DegreeOutOfRange:
-        raise FieldTooLarge(
+    except LimitError:
+        raise LimitError(
             f"compositum GF({spec.p}^{spec.l * top}) exceeds the bound "
             f"{field_bound}") from None
     pool = []
@@ -309,7 +307,7 @@ def unity_sum_set(n, spec, ext_degree, field_bound=DEFAULT_FIELD_BOUND):
     pool in (extension degree, encoding) order.
     """
     if not isinstance(n, int) or n < 1:
-        raise BadDimension(f"term budget must be >= 1, got {n!r}")
+        raise InputError(f"term budget must be >= 1, got {n!r}")
     if not isinstance(ext_degree, int) or ext_degree < 1:
         raise InputError(
             f"extension bound must be a positive integer, "
@@ -323,7 +321,7 @@ def prime_shift_certificate(x, spec, m):
     works.  Prime-field membership is encoding < p in a canonical field."""
     spec.check(x)
     if not isinstance(m, int) or m < 2:
-        raise BadDimension(f"power must be >= 2, got {m!r}")
+        raise InputError(f"power must be >= 2, got {m!r}")
     for a in range(spec.p):
         u = spec._pow(spec._sub(x, a), m)
         if u < spec.p:
@@ -375,10 +373,7 @@ def _witness_pattern_matrix(witness, m, spec, field_bound):
         degrees = 1
         for _, _, home, _ in witness.terms:
             degrees = math.lcm(degrees, home.l // spec.l)
-        try:
-            comp = build_field(spec.p, spec.l * degrees, field_bound)
-        except DegreeOutOfRange as exc:
-            raise FieldTooLarge(str(exc)) from None
+        comp = build_field(spec.p, spec.l * degrees, field_bound)
         # root orders are prime-to-p and divide the cyclic group order, so
         # an element of order exactly m exists and its powers cover every
         # witness root

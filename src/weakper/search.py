@@ -11,9 +11,9 @@ package's one elimination loop.  The brute cap still bounds q^(n^2), the
 size of the space the candidates come from.  brute_commuting_decompose
 needs no search: the potent part of a commuting split is the
 Jordan-Chevalley semisimple part of C, a polynomial in C that one Newton
-step on the radical of min_poly(C) gives, and the split exists exactly
-when min_poly(C) is cube-free.  verify_field runs one of the
-decomposition routes over all q^n companion matrices and emits a
+step on the radical of the companion's polynomial gives, and the split
+exists exactly when that polynomial is cube-free.  verify_field runs one
+of the decomposition routes over all q^n companion matrices and emits a
 deterministic report whose witnesses have all been re-verified.
 """
 
@@ -182,14 +182,15 @@ def count_decompositions(C, brute_cap=DEFAULT_BRUTE_CAP):
     return {"total": total, "commuting": commuting}
 
 
-def brute_commuting_decompose(C):
-    """The witness C = P + N with N^2 = 0, P potent and P.N = N.P, or None
-    when C has none.
+def brute_commuting_decompose(form):
+    """The witness C = P + N with N^2 = 0, P potent and P.N = N.P for the
+    companion matrix C of form, or None when C has none.
 
     P is potent, hence semisimple, and N nilpotent, so P must be the
     semisimple part s(C) of C, for every square matrix: a split exists
     exactly when N = C - s(C) squares to zero, and it is then the only
-    one.  With m = min_poly(C) and f = rad(m), the product of its
+    one.  A companion's minimal polynomial is its own polynomial, so
+    m = form.poly.  With f = rad(m), the product of its
     distinct-degree parts, s is one Newton step X - f.(f')^-1 for f, so
     N = r(C) with r = f.u mod m and u f' = 1 mod h, h = m / f.  N^2 = 0
     exactly when m divides f^2, that is when h divides f (m cube-free).
@@ -198,8 +199,8 @@ def brute_commuting_decompose(C):
     mod h with e the lcm of the q^d - 1, and min_poly(P) = f gives the
     exponent.  A squarefree m has s = X.
     """
+    C, m = form.matrix, form.poly
     spec, n = C.spec, C.n
-    m = min_poly(C)
     if _squarefree(m):
         return Witness(potent=C, nilpotent=Mat.zeros(spec, n),
                        exponent=min_poly_exponent(m), commuting=True,
@@ -238,7 +239,7 @@ def decompose(form, mode, brute_cap=DEFAULT_BRUTE_CAP):
     elif mode == "brute":
         witness = brute_decompose(form.matrix, brute_cap)
     elif mode == "commuting":
-        witness = brute_commuting_decompose(form.matrix)
+        witness = brute_commuting_decompose(form)
     else:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     if witness is not None and not witness.verify(

@@ -330,7 +330,7 @@ def test_criterion_08_commuting_witnesses_pass_both_certificates():
         for form in enumerate_companions(2, spec):
             if form.poly.coeffs[0] == 0:
                 continue  # not invertible
-            witness = brute_commuting_decompose(form.matrix)
+            witness = brute_commuting_decompose(form)
             if witness is None:
                 continue  # nothing to certify
             checked += 1

@@ -26,7 +26,7 @@ from weakper.cli import (
     run,
 )
 from weakper.companion import DEFAULT_ENUM_BOUND, Witness, companion_of
-from weakper.errors import ExponentOverflow
+from weakper.errors import LimitError
 from weakper.mat import Mat, universal_potency_exponent
 from weakper.poly import Poly, parse_poly
 from weakper.search import (
@@ -189,7 +189,7 @@ class TestDecomposeCommand:
         assert code == 0
         data = json.loads(out)["witness"]
         spec = gf.parse_field(field)
-        with pytest.raises(ExponentOverflow):
+        with pytest.raises(LimitError, match=r"exceeds the cap 2\^63"):
             universal_potency_exponent(data["n"], spec)
         assert data["potency_exponent"] == exponent
         witness = Witness(potent=Mat.from_rows(spec, data["P"]),

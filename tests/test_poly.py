@@ -6,14 +6,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from weakper.errors import (
-    DegreeOutOfRange,
-    DivisionByZero,
-    InputError,
-    ZeroPolynomial,
-)
+from weakper.errors import DivisionByZero, InputError, LimitError
 from weakper import poly
-from weakper.gf import FieldSpec, build_field, embed
+from weakper.gf import FieldSpec, build_field, embed, horner
 from weakper.mat import char_poly, cycle_permutation_matrix
 from weakper.poly import (
     Poly,
@@ -94,7 +89,7 @@ def test_division_identity(f, g):
 
 def test_evaluate(gf3):
     f = Poly(gf3, (1, 2, 1))  # (X+1)^2
-    assert [f.evaluate(x) for x in gf3.elements()] == [1, 1, 0]
+    assert [horner(gf3, f.coeffs, x) for x in gf3.elements()] == [1, 1, 0]
 
 
 def test_derivative(gf3):
@@ -107,7 +102,7 @@ def test_gcd_frozen(gf5):
     g = Poly(gf5, (1, 3, 1))  # X^2 - 2X + 1 = (X-1)^2
     assert gcd(f, g) == Poly(gf5, (4, 1))  # X - 1
     assert gcd(f, Poly.zero(gf5)) == f.monic()
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InputError, match=r"gcd\(0, 0\) is undefined"):
         gcd(Poly.zero(gf5), Poly.zero(gf5))
 
 
@@ -131,7 +126,7 @@ def test_pow_mod(gf3):
         for _ in range(e):
             direct = direct * Poly.x(gf3)
         assert pow_mod(Poly.x(gf3), e, m) == direct % m
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InputError, match="modulus must have degree >= 1"):
         pow_mod(Poly.x(gf3), 2, Poly.constant(gf3, 1))
 
 
@@ -250,7 +245,7 @@ def test_is_squarefree(gf2, gf3):
     assert not is_squarefree(Poly(gf3, (1, 0, 0, 1)))  # (X+1)^3
     assert is_squarefree(Poly(gf3, (2,)))
     assert is_squarefree(Poly(gf3, (0, 1, 1)))  # X(X+1)
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InputError, match="squarefreeness of 0 is undefined"):
         is_squarefree(Poly.zero(gf3))
 
 
@@ -268,9 +263,10 @@ def test_factor_frozen(gf2, gf3, gf5):
         (Poly.x(gf3), 1),
         (Poly(gf3, (1, 1)), 2),
     )
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InputError, match="cannot factor the zero polynomial"):
         factor(Poly.zero(gf3))
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(LimitError,
+                       match="degree 13 exceeds the factoring cap 12"):
         factor(Poly(gf2, (1,) + (0,) * 12 + (1,)))  # degree 13
 
 
@@ -299,7 +295,7 @@ def test_is_irreducible_edges(gf2, gf4, gf5):
     assert not is_irreducible(Poly(gf5, (1, 0, 1)))
     assert is_irreducible(Poly(gf5, (2, 2, 2)))
     assert not is_irreducible(Poly(gf2, (1,)))
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InputError, match="irreducibility of 0 is undefined"):
         is_irreducible(Poly.zero(gf2))
 
 
@@ -354,7 +350,8 @@ def test_monic_and_scale(gf5):
     f = Poly(gf5, (2, 4))
     assert f.monic() == Poly(gf5, (3, 1))
     assert f.scale(4) == Poly(gf5, (3, 1))
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(InputError,
+                       match="cannot normalize the zero polynomial"):
         Poly.zero(gf5).monic()
 
 
@@ -467,7 +464,7 @@ class TestCoresAgreeWithPolyOracles:
         c = Poly.constant(spec, spec.order - 1)
         m = Poly(spec, (1, 1, 1)).scale(spec.order - 1)
         for fn in (gcd, gcd_by_polys):
-            with pytest.raises(ZeroPolynomial):
+            with pytest.raises(InputError, match=r"gcd\(0, 0\) is undefined"):
                 fn(zero, zero)
         for f in (one, c):
             self.check_unary(f)
@@ -478,15 +475,18 @@ class TestCoresAgreeWithPolyOracles:
             self.check_pow_mod(x, e, x)
         for fn in (pow_mod, pow_mod_by_polys):
             for mod in (zero, one, c):
-                with pytest.raises(ZeroPolynomial):
+                with pytest.raises(InputError,
+                                   match="modulus must have degree >= 1"):
                     fn(x, 2, mod)
             for e in (-1, 2.0):
                 with pytest.raises(InputError):
                     fn(x, e, m)
         for fn in (is_squarefree, is_squarefree_by_polys):
-            with pytest.raises(ZeroPolynomial):
+            with pytest.raises(InputError,
+                               match="squarefreeness of 0 is undefined"):
                 fn(zero)
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(InputError,
+                           match="the zero polynomial has no factorization"):
             list(distinct_degree_parts(zero))
         assert poly._mul((), m.coeffs, spec._ops()) == ()
         assert (m * zero).is_zero() and (zero * m).is_zero()

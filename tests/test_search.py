@@ -14,7 +14,7 @@ from conftest import (
     square_zero_oracle,
 )
 import weakper
-from weakper import search
+from weakper import errors, search
 from weakper.errors import (
     FieldTooSmall,
     InputError,
@@ -54,7 +54,7 @@ class TestBruteDecompose:
     def test_unipotent_companion_gf2(self, gf2):
         C = companion_of(Poly(gf2, (1, 0, 1))).matrix
         w = brute_decompose(C)
-        assert w.potent.is_identity()
+        assert w.potent == Mat.identity(gf2, 2)
         assert w.nilpotent.rows() == ((1, 1), (1, 1))
         assert w.commuting
         assert w.verify(C)
@@ -96,7 +96,7 @@ class TestCountDecompositions:
                 found = brute_decompose(form.matrix) is not None
                 assert (counts["total"] > 0) == found
                 commuting_found = (
-                    brute_commuting_decompose(form.matrix) is not None)
+                    brute_commuting_decompose(form) is not None)
                 assert (counts["commuting"] > 0) == commuting_found
 
     def test_unique_commuting_witness_gf5(self, gf5):
@@ -169,7 +169,7 @@ class TestSquareZeroEnumeration:
         spec = build_field(p, l)
         oracle = square_zero_oracle(spec, n)
         for form in enumerate_companions(n, spec):
-            assert (brute_commuting_decompose(form.matrix)
+            assert (brute_commuting_decompose(form)
                     == first_commuting_witness(form.matrix, oracle))
 
     @pytest.mark.parametrize("p,l", [(2, 1), (3, 1), (2, 2)])
@@ -206,9 +206,10 @@ class TestSquareZeroEnumeration:
 
 class TestBruteCommutingDecompose:
     def test_frozen_witness_gf5(self, gf5):
-        C = companion_of(Poly(gf5, (1, 3, 1))).matrix
-        w = brute_commuting_decompose(C)
-        assert w.potent.is_identity()
+        form = companion_of(Poly(gf5, (1, 3, 1)))
+        C = form.matrix
+        w = brute_commuting_decompose(form)
+        assert w.potent == Mat.identity(gf5, 2)
         assert w.nilpotent.rows() == ((4, 4), (1, 1))
         assert w.exponent == 2
         assert w.commuting
@@ -218,14 +219,16 @@ class TestBruteCommutingDecompose:
     def test_commuting_implies_plain(self, gf3):
         for form in [companion_of(Poly(gf3, c + (1,)))
                      for c in [(1, 0), (2, 1), (0, 2)]]:
-            w = brute_commuting_decompose(form.matrix)
+            w = brute_commuting_decompose(form)
             assert w.verify(form.matrix)
             assert w.verify(form.matrix, require_commuting=True)
 
     def test_derogatory_matrix_splits(self, gf3):
-        # 2*I commutes with every matrix, not only with polynomials in it
+        # 2*I commutes with every matrix, not only with polynomials in it;
+        # the route reads a companion's polynomial, so the orbit oracle
+        # carries the theorem for matrices that are not companions
         C = Mat.identity(gf3, 2).scale(2)
-        w = brute_commuting_decompose(C)
+        w = commuting_split_by_orbit(C)
         assert w.potent == C
         assert w.nilpotent.is_zero()
         assert w.exponent == 3
@@ -233,15 +236,25 @@ class TestBruteCommutingDecompose:
     @pytest.mark.parametrize("p,l,n", [
         (2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
     def test_matches_filter_oracle_on_every_matrix(self, p, l, n):
-        # derogatory matrices included: the route finds the semisimple
-        # part of every square matrix, as the Frobenius orbit does
+        # derogatory matrices included: the semisimple part of every
+        # square matrix, from the Frobenius orbit, is the one commuting
+        # split the filter finds
         spec = build_field(p, l)
         oracle = square_zero_oracle(spec, n)
         for ent in itertools.product(range(spec.order), repeat=n * n):
             C = Mat._raw(spec, n, ent)
-            assert (brute_commuting_decompose(C)
-                    == first_commuting_witness(C, oracle)
+            assert (first_commuting_witness(C, oracle)
                     == commuting_split_by_orbit(C))
+
+    @pytest.mark.parametrize("p,l,n", [
+        (2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+    def test_matches_both_oracles_on_every_companion(self, p, l, n):
+        spec = build_field(p, l)
+        oracle = square_zero_oracle(spec, n)
+        for form in enumerate_companions(n, spec):
+            assert (brute_commuting_decompose(form)
+                    == first_commuting_witness(form.matrix, oracle)
+                    == commuting_split_by_orbit(form.matrix))
 
     @pytest.mark.parametrize("p,l,n_max", [
         (2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (7, 1, 3), (2, 3, 3),
@@ -252,15 +265,15 @@ class TestBruteCommutingDecompose:
         spec = build_field(p, l)
         for n in range(1, n_max + 1):
             for form in enumerate_companions(n, spec):
-                assert (brute_commuting_decompose(form.matrix)
+                assert (brute_commuting_decompose(form)
                         == commuting_split_by_orbit(form.matrix))
 
     def test_nilpotent_square_has_zero_potent_part(self, gf2, gf3, gf4):
         # min_poly X^2: rad = X, so N = C, P = 0 and min_poly(P) = X
         for spec in (gf2, gf3, gf4):
-            C = companion_of(Poly(spec, (0, 0, 1))).matrix
-            assert brute_commuting_decompose(C) == Witness(
-                potent=Mat.zeros(spec, 2), nilpotent=C, exponent=2,
+            form = companion_of(Poly(spec, (0, 0, 1)))
+            assert brute_commuting_decompose(form) == Witness(
+                potent=Mat.zeros(spec, 2), nilpotent=form.matrix, exponent=2,
                 commuting=True, source="brute_commuting")
 
     @pytest.mark.parametrize("p,l,n", [
@@ -272,7 +285,7 @@ class TestBruteCommutingDecompose:
         # and q^n - q^(n-2) monics of degree n >= 3 are
         spec = build_field(p, l)
         q = spec.order
-        count = sum(brute_commuting_decompose(form.matrix) is not None
+        count = sum(brute_commuting_decompose(form) is not None
                     for form in enumerate_companions(n, spec))
         assert count == (q ** n - q ** (n - 2) if n >= 3 else q ** n)
 
@@ -285,16 +298,18 @@ class TestBruteCommutingDecompose:
     def test_degree_13_costs_few_products(self, gf2, low, splits,
                                           mat_product_budget):
         # C^(2^lcm(1..13)) would take 360,360 squarings; the Newton step
-        # takes min_poly(C)'s powers and at most n - 1 Horner products, and
-        # the checker its own min_poly(P) and P^t
-        C = companion_of(Poly(gf2, low + (1,))).matrix
+        # takes at most n - 1 Horner products, and the checker its own
+        # min_poly(P) and P^t.  A polynomial that is not cube-free is
+        # turned down on its coefficients alone, with no product
+        form = companion_of(Poly(gf2, low + (1,)))
+        C = form.matrix
         used = mat_product_budget(400)
-        w = brute_commuting_decompose(C)
+        w = brute_commuting_decompose(form)
         assert (w is not None) == splits
+        assert (used[0] > 0) == splits
         if splits:
             assert w.potent * w.nilpotent == w.nilpotent * w.potent
             assert w.verify(C, require_commuting=True)
-        assert used[0] > 0
 
 
 def test_export_list_is_pinned():
@@ -317,6 +332,24 @@ def test_export_list_is_pinned():
         "unity_sum_set", "verify_field", "weight_patterns"]
     for name in weakper.__all__:
         assert getattr(weakper, name) is not None
+
+
+def test_error_classes_are_pinned():
+    # one class per exit code, and one below it only where an except
+    # clause names it or it is also a built-in: keeping or adding an error
+    # class is a decision this list shows
+    classes = {name: tuple(c.__name__ for c in obj.__bases__)
+               for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert sorted(classes.items()) == [
+        ("DivisionByZero", ("InputError", "ZeroDivisionError")),
+        ("EnumerationTooLarge", ("LimitError",)),
+        ("FieldTooSmall", ("InputError",)),
+        ("InputError", ("WeakperError",)),
+        ("LimitError", ("WeakperError",)),
+        ("SearchSpaceTooLarge", ("LimitError",)),
+        ("TraceNotRealizable", ("InputError",)),
+        ("WeakperError", ("Exception",))]
 
 
 class TestRootOfUnityCertificate:
