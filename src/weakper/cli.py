@@ -12,9 +12,7 @@ import gc
 import io
 import itertools
 import os
-import random
 import sys
-import tempfile
 import types
 
 from .companion import (
@@ -77,6 +75,9 @@ def _csv_text(summary):
 
 
 def _atomic_write(path, data):
+    # imported here: only --out and a cache miss write a file
+    import tempfile
+
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".weakper-")
@@ -345,6 +346,9 @@ def _cmd_lemmas(args):
     spec = parse_field(args.field)
     n = args.n
     ext = args.ext_bound if args.ext_bound is not None else n
+    # imported here: lemmas is the only command that draws samples
+    import random
+
     rng = random.Random(args.seed)
     results = {}
 

@@ -20,9 +20,7 @@ deterministic report whose witnesses have all been re-verified.
 import collections
 import functools
 import itertools
-import json
 import math
-from json.encoder import encode_basestring_ascii
 
 from .companion import (
     DEFAULT_ENUM_BOUND,
@@ -57,14 +55,16 @@ from .poly import (
     _pow_mod,
 )
 
+# the interpreter's own JSON string escaper gives what json.dumps gives
+# without loading the json package, about 1.5 ms a process
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
 TOOL_VERSION = "0.1.0"
 DEFAULT_BRUTE_CAP = 1 << 24
 MODES = ("constructive", "brute", "commuting")
-
-
-def _combine(spec, coeffs, vectors, size):
-    """sum(coeffs[i] * vectors[i]) over flat entry tuples of length size."""
-    return tuple(spec._ops().combine(coeffs, vectors, size))
 
 
 def _independent_rows(spec, r, m):
@@ -109,11 +109,14 @@ def _square_zero_entries(spec, n):
     N^2 = 0 iff im N lies in ker N.  A rank-r such N is, for exactly one
     r-dimensional image W with echelon basis w_1..w_r, the sum of the
     outer products w_k phi_k^T, where phi_1..phi_r are linearly
-    independent functionals vanishing on W.  With A a basis of those
-    functionals, the phi_k are the rows of G.A for a unique full-rank
-    r x (n - r) matrix G; r ranges over 0..n//2.
+    independent functionals vanishing on W.  With A a basis a_1..a_(n-r)
+    of those functionals, the phi_k are the rows of G.A for a unique
+    full-rank r x (n - r) matrix G; r ranges over 0..n//2.  So N is the
+    sum of G[k][l] w_k a_l^T, one combination of the r (n - r) outer
+    products per G.
     """
-    negate = spec._ops().negate
+    ops = spec._ops()
+    size = n * n
     out = []
     for r in range(n // 2 + 1):
         gs = _independent_rows(spec, r, n - r)
@@ -125,16 +128,17 @@ def _square_zero_entries(spec, n):
                 if j not in pivots:
                     phi = [0] * n
                     phi[j] = 1
-                    for p, v in zip(pivots, negate([w[j] for w in rows])):
+                    for p, v in zip(pivots, ops.negate([w[j] for w in rows])):
                         phi[p] = v
                     annihilator.append(phi)
-            # row i of N is sum_k w_k[i] phi_k
-            columns = [tuple(w[i] for w in rows) for i in range(n)]
+            # the flat entries of w_k a_l^T, k major, as G's entries lie
+            # in itertools.chain.from_iterable(g)
+            outer = [list(itertools.chain.from_iterable(
+                ops.scale(c, a) for c in w))
+                for w in rows for a in annihilator]
             for g in gs:
-                phis = [_combine(spec, g_row, annihilator, n)
-                        for g_row in g]
-                out.append(tuple(itertools.chain.from_iterable(
-                    _combine(spec, col, phis, n) for col in columns)))
+                out.append(tuple(ops.combine(
+                    itertools.chain.from_iterable(g), outer, size)))
     out.sort()
     return tuple(out)
 
@@ -315,8 +319,42 @@ def _summary(header, counts):
 
 def _dumps(payload):
     """The text of every report: json.dumps(payload, indent=2,
-    sort_keys=True) plus a newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    sort_keys=True) plus a newline, written by _layout."""
+    return _layout(payload, "\n") + "\n"
+
+
+def _layout(value, newline):
+    """value as json.dumps(value, indent=2, sort_keys=True) lays it out,
+    with newline (a newline and the indent of value) in place of each of
+    its line breaks.  value is a dict with str keys, a list, a tuple, a
+    str, an int, a bool or None, nested; TypeError on anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {key!r}")
+        return ("{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _layout(item, inner)
+            for key, item in sorted(value.items())) + newline + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            _layout(item, inner) for item in value) + newline + "]")
+    raise TypeError(
+        f"a report cannot hold a value of type {type(value).__name__}")
 
 
 # stands in for a report's records in a payload written by _report_json
@@ -330,7 +368,7 @@ def _report_payload(report):
 
 def _record_layouts(n, newline):
     """The two %-templates of a record of dimension n whose opening brace
-    sits at newline, laid out by json.dumps itself: one without a
+    sits at newline, laid out by _layout: one without a
     witness, taking (*g, status), and one with, taking (*g, status,
     *N.entries, *P.entries, commuting, *g, field, n, exponent, source) in
     the sorted order of the keys.  The strings go in JSON-encoded."""
@@ -343,10 +381,9 @@ def _record_layouts(n, newline):
         "field": text, "n": num, "potency_exponent": num, "source": text})
 
     def layout(skeleton):
-        return (json.dumps(skeleton, indent=2, sort_keys=True)
-                .replace("\n", newline)
-                .replace(json.dumps(num), "%d")
-                .replace(json.dumps(text), "%s"))
+        return (_layout(skeleton, newline)
+                .replace(encode_basestring_ascii(num), "%d")
+                .replace(encode_basestring_ascii(text), "%s"))
 
     return layout(bare), layout(full)
 
@@ -355,7 +392,7 @@ def _report_json(payload, report, depth):
     """_dumps(payload), with report.to_dict()["records"] where payload
     holds _RECORDS at nesting depth depth.  Each record is one % on its
     per-n layout, so no dict is built per record."""
-    head, tail = _dumps(payload).split(json.dumps(_RECORDS))
+    head, tail = _dumps(payload).split(encode_basestring_ascii(_RECORDS))
     if not report.records:
         return head + "[]" + tail
     n = report.n
@@ -504,6 +541,9 @@ def _decode_report(data, header_spec):
     JSON; KeyError, TypeError or ValueError when the header is not one
     verify writes (n an int >= 1, a mode in MODES, a str version) or a
     record is malformed (_check_records)."""
+    # imported here: only a run that reads a report back needs the decoder
+    import json
+
     try:
         if isinstance(data, (bytes, bytearray)):
             data = data.decode("utf-8")

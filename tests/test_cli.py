@@ -527,13 +527,22 @@ class TestStartUp:
     """Every run is a fresh process, so a module that only some runs need
     is imported where it is used."""
     # dataclasses pulls in inspect; hashlib loads OpenSSL's _hashlib;
-    # argparse loads gettext, and only help and usage errors need either
+    # argparse loads gettext, and only help and usage errors need either;
+    # json only reads a report back, tempfile (which loads random) only
+    # writes a file, and random only draws the lemmas' samples.  A .pth
+    # file may import any module before the probe runs, so the heavy
+    # modules it finds are dropped first: a run that needs one imports it
+    # again, and the probe reports the heavy modules the run added.
     PROBE = ("import sys\n"
+             "heavy = {'dataclasses', 'inspect', 'hashlib', '_hashlib',"
+             " 'csv', 'argparse', 'gettext', 'json', 'tempfile',"
+             " 'random'}\n"
+             "for name in heavy & set(sys.modules):\n"
+             "    del sys.modules[name]\n"
+             "before = set(sys.modules)\n"
              "from weakper.cli import run\n"
              "code = run(sys.argv[1:]) if sys.argv[1:] else 0\n"
-             "heavy = {'dataclasses', 'inspect', 'hashlib', '_hashlib',"
-             " 'csv', 'argparse', 'gettext'}\n"
-             "print(code, *sorted(heavy & set(sys.modules)),"
+             "print(code, *sorted(heavy & (set(sys.modules) - before)),"
              " file=sys.stderr)\n")
 
     def loaded_after(self, *argv):
@@ -553,10 +562,18 @@ class TestStartUp:
             "0"]
 
     def test_cache_and_csv_load_what_they_use(self, tmp_path):
+        # a miss writes the entry
         assert self.loaded_after("verify", "--field", "3", "--n", "2",
                                  "--format", "csv",
                                  "--cache", str(tmp_path)) == [
-            "0", "csv"]
+            "0", "csv", "random", "tempfile"]
+
+    def test_cache_hit_loads_json(self, tmp_path):
+        argv = ("verify", "--field", "3", "--n", "2", "--format", "text",
+                "--cache", str(tmp_path))
+        assert self.loaded_after(*argv) == ["0", "random", "tempfile"]
+        # the hit decodes the entry and writes nothing
+        assert self.loaded_after(*argv) == ["0", "json"]
 
     @pytest.mark.parametrize("argv", [
         ("field-info", "--field", "3", "--format", "text"),
@@ -571,9 +588,20 @@ class TestStartUp:
          "7", "--format", "text"),
     ])
     def test_well_formed_run_loads_no_argparse(self, argv):
-        code, *loaded = self.loaded_after(*argv)
-        assert code == "0"
-        assert not {"argparse", "gettext"} & set(loaded)
+        # nor any other heavy module but those it uses: lemmas draws
+        # samples with random, and --format csv writes through csv
+        used = {"lemmas": ["random"]}.get(argv[0], [])
+        if "csv" in argv:
+            used.append("csv")
+        assert self.loaded_after(*argv) == ["0", *used]
+
+    @pytest.mark.parametrize("command", [
+        ("field-info", "--field", "3"),
+        ("lemmas", "--field", "2", "--n", "2", "--m-max", "4")])
+    def test_out_loads_tempfile(self, tmp_path, command):
+        assert self.loaded_after(*command, "--out",
+                                 str(tmp_path / "report.json")) == [
+            "0", "random", "tempfile"]
 
     def test_usage_error_loads_argparse(self):
         # argparse's usage message comes first on stderr, the probe's line
@@ -845,8 +873,10 @@ JSON_VALUES = st.recursive(
 
 
 def assert_spliced_as_json(value):
-    """_report_json writes value before and after a report's records, at
-    depth one and two, as json.dumps writes it."""
+    """_dumps writes value as json.dumps writes it, and so does
+    _report_json before and after a report's records, at depth one and
+    two."""
+    assert search._dumps(value) == reference_json(value)
     report = verify_field(1, gf.parse_field("3"), "constructive")
     payload, want = _report_payload(report), report.to_dict()
     assert _report_json(dict(payload, a=value, z=value), report, 1) == (
@@ -858,8 +888,9 @@ def assert_spliced_as_json(value):
 
 class TestReportWriter:
     """Reports are laid out as json.dumps(indent=2, sort_keys=True) plus a
-    newline; the records spliced into that text leave the rest of the
-    payload as json.dumps writes it."""
+    newline, by search._dumps, which json.dumps checks here; the records
+    spliced into that text leave the rest of the payload as json.dumps
+    writes it."""
 
     @settings(max_examples=100, deadline=None)
     @given(JSON_VALUES)
@@ -872,6 +903,29 @@ class TestReportWriter:
         "\"\\\x00\u20ac\U0001f600"])
     def test_writer_matches_json_on_edge_cases(self, value):
         assert_spliced_as_json(value)
+
+    # json.dumps writes a float, and an int, float, bool or None key as
+    # text; a report holds none of them
+    @pytest.mark.parametrize("value", [
+        0.5, [1, 2.0], {"a": float("nan")}, {1: "a"}, {"a": {None: 1}},
+        {("a",): 1}, {"a": 1, 2: "b"}])
+    def test_writer_refuses_values_outside_its_domain(self, value):
+        with pytest.raises(TypeError):
+            search._dumps(value)
+
+    def test_writer_without_the_c_escaper(self):
+        # an interpreter without _json escapes strings by json.encoder's
+        # pure-Python loop
+        value = {"\ud800": ["\"\\\x00\x7f\u20ac\U0001f600", 7, None]}
+        probe = ("import sys\n"
+                 "sys.modules['_json'] = None\n"
+                 "from weakper import search\n"
+                 "assert search.encode_basestring_ascii.__module__"
+                 " == 'json.encoder'\n"
+                 f"sys.stdout.write(search._dumps({value!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == reference_json(value)
 
 
 RECORD_FIELDS = ("2", "3", "2^2", "2^3", "3^2", "2^2/1,1,1")

@@ -151,7 +151,7 @@ def test_makes_no_element_call(p, l, seeded_rng, element_calls):
     _matrix_results(spec, seeded_rng)
     _poly_results(spec, seeded_rng)
     vectors = [random_matrix(seeded_rng, spec, 2).entries for _ in range(3)]
-    search._combine(spec, (1, 0, spec.order - 1), vectors, 4)
+    spec._ops().combine((1, 0, spec.order - 1), vectors, 4)
     if spec.order <= 9:
         search._square_zero_entries.__wrapped__(
             spec, 3 if spec.order == 3 else 2)
