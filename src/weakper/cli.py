@@ -8,10 +8,11 @@ CSV carries summaries only, text is a terse human rendering.  Exit codes:
 was written.
 """
 
-import gc
+import atexit
 import io
 import itertools
 import os
+import stat
 import sys
 import types
 
@@ -75,10 +76,22 @@ def _csv_text(summary):
 
 
 def _atomic_write(path, data):
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        regular = True
+    if not regular:
+        # a FIFO or a device has no contents to replace: it is written in
+        # place, as a shell redirection would write it
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    # a symlink stays, and its target gets the new contents
+    path = os.path.realpath(path)
     # imported here: only --out and a cache miss write a file
     import tempfile
 
-    parent = os.path.dirname(os.path.abspath(path))
+    parent = os.path.dirname(path)
     os.makedirs(parent, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".weakper-")
     try:
@@ -109,7 +122,14 @@ def _emit(args, payload_bytes, summary, text_lines):
             raise InputError(
                 f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(data.decode("utf-8"))
+        # the bytes go to the binary layer, after what was printed before.
+        # Under python -u it is the raw file, whose write may take only part
+        # of the data (a pipe whose reader went away), so write until done
+        sys.stdout.flush()
+        out = sys.stdout.buffer
+        view = memoryview(data)
+        while view:
+            view = view[out.write(view):]
 
 
 def _cache_dir(args):
@@ -628,15 +648,23 @@ def main():
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away: point stdout at os.devnull so that the
-        # interpreter's final flush stays quiet
+        # final flush stays quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
-    # shutdown would run one more collection over every object the run
-    # made, 5-10 ms a process; frozen, they are skipped.  Atexit handlers
-    # and the final flushes still run, which os._exit would skip
-    gc.freeze()
-    sys.exit(code)
+    # the report is written.  Do what shutdown would do for it, the atexit
+    # handlers and the flush of the std streams, and skip the rest: one
+    # more garbage collection and the teardown of every module, 1-2 ms a
+    # process.  A flush that fails leaves through shutdown, which reports
+    # it as it always does (exit 120)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None and not stream.closed:
+            try:
+                stream.flush()
+            except OSError:
+                sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import random
 import re
 import shlex
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -609,23 +610,44 @@ class TestStartUp:
         loaded = self.loaded_after("verify", "--field", "3", "--n", "0")
         assert loaded[-3:] == ["2", "argparse", "gettext"]
 
-    # the hook is registered before main() runs, so it runs after main's
-    # freeze and prints how many objects the freeze moved
-    FREEZE_PROBE = ("import atexit, gc, sys\n"
-                    "import weakper.cli\n"
-                    "atexit.register(lambda: print(gc.get_freeze_count(),"
-                    " file=sys.stderr))\n"
-                    "if sys.argv.pop(1) == 'main':\n"
-                    "    weakper.cli.main()\n"
-                    "sys.exit(weakper.cli.run(sys.argv[1:]))\n")
+    # notes go to the file named first.  The hook, registered before main()
+    # runs, notes how many bytes stdout held when it ran, buffers one more
+    # for the final flush, then leaves a cycle that only a garbage
+    # collection frees: shutdown's last collection notes it as finalized
+    EXIT_PROBE = ("import atexit, gc, os, sys\n"
+                  "import weakper.cli\n"
+                  "log = os.open(sys.argv.pop(1), os.O_WRONLY | os.O_APPEND)\n"
+                  "class Finalized:\n"
+                  "    def __del__(self, write=os.write, log=log):\n"
+                  "        write(log, b'finalized\\n')\n"
+                  "def hook():\n"
+                  "    os.write(log, b'atexit %d\\n' % os.fstat(1).st_size)\n"
+                  "    sys.stdout.write('#')\n"
+                  "    gc.collect()\n"
+                  "    garbage = Finalized()\n"
+                  "    garbage.cycle = garbage\n"
+                  "atexit.register(hook)\n"
+                  "if sys.argv.pop(1) == 'main':\n"
+                  "    weakper.cli.main()\n"
+                  "sys.exit(weakper.cli.run(sys.argv[1:]))\n")
 
-    def frozen_at_exit(self, entry, *argv, stdout=subprocess.DEVNULL):
-        """Exit code of a fresh run of argv through entry ("main" or
-        "run"), and gc.get_freeze_count() when the interpreter exits."""
-        proc = subprocess.run(
-            [sys.executable, "-c", self.FREEZE_PROBE, entry, *argv],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, check=False)
-        return proc.returncode, int(proc.stderr.split()[-1])
+    def exit_notes(self, tmp_path, entry, *argv, stdout=None,
+                   stderr=subprocess.DEVNULL):
+        """Exit code of a fresh, buffered run of argv through entry ("main"
+        or "run"), the bytes written to stdout (a file unless stdout is
+        given), and the probe's notes in the order they were made."""
+        log = tmp_path / "notes"
+        log.write_bytes(b"")
+        out = tmp_path / "stdout"
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        with open(out, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-c", self.EXIT_PROBE, str(log), entry,
+                 *argv], stdout=fh if stdout is None else stdout,
+                stderr=stderr, env=env, check=False)
+        return (proc.returncode, out.stat().st_size,
+                log.read_text().splitlines())
 
     @pytest.mark.parametrize("argv, code", [
         (("field-info", "--field", "7"), 0),
@@ -634,27 +656,61 @@ class TestStartUp:
         (("decompose", "--field", "3", "--poly", "2,1", "--mode", "brute",
           "--brute-cap", "0"), 3),
     ])
-    def test_main_freezes_before_exit(self, argv, code):
-        got, frozen = self.frozen_at_exit("main", *argv)
+    def test_main_skips_finalization(self, tmp_path, argv, code):
+        got, size, notes = self.exit_notes(tmp_path, "main", *argv)
         assert got == code
-        assert frozen > 0
+        assert (size > 1) == (code < 2)
+        # the hook ran once, after the whole report was written, what it
+        # wrote was flushed, and nothing was finalized
+        assert notes == [f"atexit {size - 1}"]
 
-    def test_main_freezes_on_a_closed_stdout(self):
+    def test_main_exits_141_on_a_closed_stdout(self, tmp_path):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            got, frozen = self.frozen_at_exit(
-                "main", "verify", "--field", "3", "--n", "2",
+            got, _, notes = self.exit_notes(
+                tmp_path, "main", "verify", "--field", "3", "--n", "2",
                 stdout=write_end)
         finally:
             os.close(write_end)
-        assert got == EXIT_BROKEN_PIPE
-        assert frozen > 0
+        # by then stdout is os.devnull, which holds nothing
+        assert (got, notes) == (EXIT_BROKEN_PIPE, ["atexit 0"])
 
-    def test_run_freezes_nothing(self):
-        # the tests and the benchmark's tracer call run() in-process
-        assert self.frozen_at_exit(
-            "run", "verify", "--field", "2^2", "--n", "2") == (1, 0)
+    def test_run_then_sys_exit_finalizes(self, tmp_path):
+        # the tests and the benchmark's tracer call run() in-process; the
+        # probe sees finalization where there is one
+        got, _, notes = self.exit_notes(
+            tmp_path, "run", "verify", "--field", "2^2", "--n", "2")
+        assert got == 1
+        # stdout is flushed after the hooks, so the hook may see less
+        assert [note.split()[0] for note in notes] == ["atexit", "finalized"]
+
+    def test_failed_final_flush_leaves_through_shutdown(self, tmp_path):
+        # the error line cannot reach a closed stderr (main() takes the
+        # broken pipe for stdout's), so main()'s flush of stderr fails, and
+        # shutdown, flushing it again, exits 120
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            got, _, notes = self.exit_notes(
+                tmp_path, "main", "verify", "--field", "4", "--n", "2",
+                stderr=write_end)
+        finally:
+            os.close(write_end)
+        # the hook still ran only once
+        assert (got, notes) == (120, ["atexit 0", "finalized"])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    def test_escaping_error_leaves_through_shutdown(self, tmp_path):
+        # stdout is only redirected to the device, never replaced: the
+        # report's flush fails in main() and the error escapes it, so the
+        # traceback exits 1, and shutdown's flush fails again: exit 120
+        with open("/dev/full", "wb") as full:
+            got, _, notes = self.exit_notes(
+                tmp_path, "main", "field-info", "--field", "7",
+                stdout=full)
+        assert (got, notes) == (120, ["atexit 0", "finalized"])
 
     def test_cache_entry_name_is_pinned(self, capsys, tmp_path):
         code, _, _ = invoke(capsys, "verify", "--field", "3", "--n", "3",
@@ -1115,6 +1171,51 @@ class TestUnwritableOut:
         assert not any((tmp_path / "directory").iterdir())
 
 
+class TestOutTarget:
+    """--out replaces a regular file atomically, and writes what is not one
+    in place, as a shell redirection would."""
+
+    ARGV = ("verify", "--field", "3", "--n", "2")
+
+    def report(self, capsys, tmp_path):
+        code, _, _ = invoke(capsys, *self.ARGV, "--out",
+                            str(tmp_path / "plain.json"))
+        assert code == 0
+        return (tmp_path / "plain.json").read_bytes()
+
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        want = self.report(capsys, tmp_path)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # opened for reading first, so that the writer need not wait; the
+        # report (5 KB) fits in the pipe
+        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert invoke(capsys, *self.ARGV, "--out", str(fifo)) == (
+                0, "", "")
+            # no writer is left, so the pipe ends where the report does
+            got = b"".join(iter(lambda: os.read(read_end, 65536), b""))
+        finally:
+            os.close(read_end)
+        assert got == want
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_symlink_stays_and_its_target_is_replaced(self, capsys,
+                                                       tmp_path):
+        want = self.report(capsys, tmp_path)
+        (tmp_path / "reports").mkdir()
+        target = tmp_path / "reports" / "target.json"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.json"
+        link.symlink_to(os.path.join("reports", "target.json"))
+        assert invoke(capsys, *self.ARGV, "--out", str(link)) == (0, "", "")
+        assert os.readlink(link) == os.path.join("reports", "target.json")
+        assert target.read_bytes() == want
+        # the temporary file went next to the target, and is gone
+        assert sorted(p.name for p in target.parent.iterdir()) == [
+            "target.json"]
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ("verify", "--field", "3", "--n", "2"),
@@ -1140,6 +1241,29 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == EXIT_BROKEN_PIPE == 141
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_that_leaves_early(self, unbuffered):
+        # the 588 KB report does not fit in the pipe: the reader takes one
+        # byte and goes, and the rest of the report cannot be written.
+        # Unbuffered, a raw write takes what the pipe took and returns
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weakper.cli", "verify", "--field", "3^2",
+             "--n", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert err == b""
 
     def test_lemmas_out_file_is_written_first(self, tmp_path):
         env = dict(os.environ, PYTHONUNBUFFERED="1")
@@ -1190,6 +1314,8 @@ class TestProcessMatchesRun:
         "verify unwritable cache": [("verify", "--field", "3", "--n", "2",
                                      "--cache", "blocker")],
         "verify exits 2": [("verify", "--field", "4", "--n", "2")],
+        # 588 KB, more than a pipe holds
+        "verify GF(9) n=3": [("verify", "--field", "3^2", "--n", "3")],
         "sets text": [("sets", "--field", "2", "--n", "2", "--format",
                        "text")],
         "sets --out csv": [("sets", "--field", "3", "--n", "2", "--out",
